@@ -1,4 +1,4 @@
-"""Backends, warm-up and the timed loops: one closed-loop client each.
+"""The timed loops: one closed-loop client each.
 
 The serve loop is the socket front end's per-read path without the
 socket: request bytes go through ``FrameDecoder.feed`` and
@@ -14,78 +14,26 @@ run's wrappers (``layers.py``) see every call.
 from __future__ import annotations
 
 import time
+from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api.session import Session
-from repro.gen.cases import SYSTEM_FACTORIES
 from repro.semantics import trace as trace_module
 from repro.serve import protocol
 from repro.serve.service import MonitorService
-from repro.serve.streams import SPEC_FACTORIES
-from repro.syntax.parser import parse_formula
 
 import workloads
-
-
-def open_service(workload: str) -> MonitorService:
-    """The serving backend, warmed with one compile per spec family."""
-    shards = workloads.SHARDS if workload == "sharded-fleet" else 0
-    service = MonitorService(shards=shards)
-    frames: List[Dict[str, Any]] = []
-    for family in workloads.FAMILIES:
-        names = [f"warmup-{family}"]
-        if service.pool is not None:
-            # One warm-up stream per shard, so every worker compiles.
-            names, seen, index = [], set(), 0
-            while len(seen) < service.pool.shard_count:
-                name = f"warmup-{family}-{index}"
-                shard = service.pool.worker_for(name)
-                if shard not in seen:
-                    seen.add(shard)
-                    names.append(name)
-                index += 1
-        for name in names:
-            frames.append({"op": "open", "stream": name, "spec": family})
-            frames.append({"op": "close", "stream": name})
-    for response in service.handle_batch(frames):
-        if "error" in response:
-            raise RuntimeError(f"warm-up failed: {response}")
-    return service
-
-
-class BatchContext:
-    """One checking session with its spec objects and lasso formulas."""
-
-    def __init__(self) -> None:
-        self.session = Session()
-        self.specs = {family: SPEC_FACTORIES()[family]() for family in workloads.FAMILIES}
-        self.formulas = [(text, parse_formula(text)) for text in workloads.LASSO_FORMULAS]
-        # One warm-up compile per family and per lasso formula.
-        warm = {
-            "mutex": ("mutex", {"processes": 2, "entries": 1}),
-            "reliable_queue": ("reliable_queue", {"num_values": 1}),
-            "arbiter": ("arbiter", {"requests": [1]}),
-            "request_ack": ("request_ack", {"cycles": 1}),
-        }
-        systems = SYSTEM_FACTORIES()
-        for family, (system, args) in warm.items():
-            self.session.check_spec(self.specs[family], systems[system](**args))
-        tiny = trace_module.Trace(
-            protocol.rows_to_states(workloads.lasso_rows(24)), loop_start=13
-        )
-        for _, formula in self.formulas:
-            self.session.check(formula, trace=tiny)
+from backend import BatchContext
 
 
 def serve(
     service: MonitorService,
     decoder: protocol.FrameDecoder,
     requests: List[Tuple[str, bytes, int]],
-) -> Tuple[List[float], List[bytes]]:
+) -> Tuple[array, List[bytes]]:
     """Send each request, wait for its encoded responses; returns
     ``(latencies_s, response_bytes)`` in request order."""
     clock = time.perf_counter
-    latencies: List[float] = []
+    latencies = array("d")
     outputs: List[bytes] = []
     for _, data, _ in requests:
         started = clock()
@@ -110,11 +58,11 @@ def serve(
 
 def check_batch(
     context: BatchContext, items: List[workloads.BatchItem]
-) -> Tuple[List[float], List[Dict[str, Optional[bool]]]]:
+) -> Tuple[array, List[Dict[str, Optional[bool]]]]:
     """Rows to verdicts for every item; returns ``(latencies_s, verdicts)``."""
     clock = time.perf_counter
     session = context.session
-    latencies: List[float] = []
+    latencies = array("d")
     verdicts: List[Dict[str, Optional[bool]]] = []
     for item in items:
         started = clock()

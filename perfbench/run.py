@@ -7,8 +7,8 @@ Usage::
 Workloads: ``fleet-churn``, ``long-streams``, ``batch-check``,
 ``sharded-fleet`` (see ``perfbench/README.md``); ``--workload all`` runs
 each in turn and exits with the worst exit code.  A run repeats passes
-over the seeded inputs for about ``--seconds``; every pass's outputs are
-checked against reference verdicts after the timed windows.  Timings
+over the seeded inputs for about ``--seconds``; each pass's outputs are
+checked against reference verdicts after its timed window.  Timings
 take each request's fastest time across the passes, so the host's slow
 phases, which only ever add time, do not move them.  ``--trace 0``
 reports the end-to-end metrics; ``--trace 1`` spends half the time
@@ -26,7 +26,6 @@ import gc
 import json
 import multiprocessing
 import os
-import resource
 import statistics
 import subprocess
 import sys
@@ -41,18 +40,18 @@ SRC = os.path.join(ROOT, "src")
 BYTECODE = os.path.join(ROOT, ".bench_build", "pycache")
 
 WORKLOADS = ("fleet-churn", "long-streams", "batch-check", "sharded-fleet")
-SETUP_PROBES = 5
+SETUP_PROBES = 9
 
 
 class Pass:
     """One pass over the inputs: per-request latencies in request order,
-    the timed window's wall, the outputs to verify, and (traced) the
-    per-layer values."""
+    the timed window's wall, the counts its outputs were checked into,
+    and (traced) the per-layer values."""
 
     def __init__(self) -> None:
-        self.latencies: List[float] = []
+        self.latencies: Sequence[float] = ()
         self.window_s = 0.0
-        self.outputs: Any = None
+        self.check: Dict[str, int] = {}
         self.layers: Dict[str, float] = {}
 
 
@@ -77,18 +76,14 @@ class Run:
 
 
 def run_passes(budget_s: float, one_pass: Callable[[], Pass],
-               between: Callable[[], None] = lambda: None,
-               cpus: Sequence[int] = ()) -> List[Pass]:
+               between: Callable[[], None] = lambda: None) -> List[Pass]:
     """Passes until the budget is spent; a pass that would end more than
     half a pass past the budget is not started.  ``between`` runs after
-    each pass, outside its window.  With ``cpus``, pass ``k`` is pinned
-    to ``cpus[k % len(cpus)]``."""
+    each pass, outside its window."""
     passes: List[Pass] = []
     started = time.perf_counter()
     elapsed = last = 0.0
     while not passes or elapsed + last / 2 < budget_s:
-        if cpus:
-            os.sched_setaffinity(0, {cpus[len(passes) % len(cpus)]})
         passes.append(one_pass())
         between()
         last = time.perf_counter() - started - elapsed
@@ -96,48 +91,59 @@ def run_passes(budget_s: float, one_pass: Callable[[], Pass],
     return passes
 
 
-def measure(args, run: Run, tracer, one_pass: Callable[[bool], Pass],
-            in_process: bool = True) -> None:
+def measure(args, run: Run, tracer, one_pass: Callable[[bool], Pass]) -> None:
     """Untraced passes; with ``--trace 1``, then traced passes.
 
     Without tracing, one set-up probe follows each pass until there are
     ``SETUP_PROBES``, so the probes sample the host at different times.
-    In-process workloads alternate their passes between the CPUs this
-    process may use: on a shared host each CPU has its own slow phases,
-    so best-of-N then sees every request at least once on a CPU in a
-    fast phase.  The sharded workload is not pinned; its workers need
-    the other CPUs.
     """
     budget = args.seconds / 2 if args.trace else args.seconds
-    allowed = os.sched_getaffinity(0)
-    cpus = sorted(allowed) if in_process else ()
 
     def probe() -> None:
         if not args.trace and len(run.setup_samples) < SETUP_PROBES:
             run.setup_samples.append(setup_seconds(args.workload))
 
+    run.passes = run_passes(budget, lambda: one_pass(False), probe)
+    while not args.trace and len(run.setup_samples) < SETUP_PROBES:
+        probe()
+    if args.trace:
+        tracer.install()
+        try:
+            run.traced = run_passes(budget, lambda: one_pass(True))
+        finally:
+            tracer.uninstall()
+
+
+def status_kib(field: str, pid: str = "self") -> int:
+    """One ``kB`` field of ``/proc/<pid>/status``, such as ``VmRSS``."""
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith(field + ":"):
+                return int(line.split()[1])
+    raise KeyError(field)
+
+
+def inputs_resident(since_kib: int) -> int:
+    """Freeze the inputs built since RSS read ``since_kib`` and return
+    the KiB they keep resident; then restart this process's peak RSS
+    count, so set-up transients do not count into it."""
+    freeze_inputs()
+    resident = max(0, status_kib("VmRSS") - since_kib)
     try:
-        run.passes = run_passes(budget, lambda: one_pass(False), probe, cpus)
-        while not args.trace and len(run.setup_samples) < SETUP_PROBES:
-            probe()
-        if args.trace:
-            tracer.install()
-            try:
-                run.traced = run_passes(budget, lambda: one_pass(True), cpus=cpus)
-            finally:
-                tracer.uninstall()
-    finally:
-        os.sched_setaffinity(0, allowed)
+        with open("/proc/self/clear_refs", "w") as clear_refs:
+            clear_refs.write("5")
+    except OSError:
+        # Without peak reset the peak also covers the input build.
+        pass
+    return resident
 
 
-def peak_rss_mb(worker_pids: List[int]) -> float:
-    """Peak RSS of this process plus each shard worker's, in MiB."""
-    total_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    for pid in worker_pids:
-        with open(f"/proc/{pid}/status") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    total_kib += int(line.split()[1])
+def peak_rss_mb(inputs_kib: int, worker_pids: List[int]) -> float:
+    """Peak RSS of this process, less the benchmark's resident inputs,
+    plus each shard worker's peak RSS, in MiB.  The workers fork before
+    the inputs are built, so they hold none of them."""
+    total_kib = status_kib("VmHWM") - inputs_kib
+    total_kib += sum(status_kib("VmHWM", str(pid)) for pid in worker_pids)
     return total_kib / 1024.0
 
 
@@ -179,17 +185,24 @@ class Stopwatch:
 # -- serve workloads ----------------------------------------------------------
 
 
-def serve_workload(args, drive, layers, workloads) -> Run:
+def serve_workload(args, backend, drive, layers, workloads) -> Run:
     from repro.serve import protocol
 
     stages: Dict[str, float] = {}
     group = workloads.SHARD_GROUP if args.workload == "sharded-fleet" else 1
+    # The service, and with it the shard workers, starts before any
+    # input exists, so the workers inherit none of the inputs.
+    service = backend.open_service(args.workload)
+    worker_pids = [p.pid for p in multiprocessing.active_children()]
+    base_kib = status_kib("VmRSS")
     with Stopwatch(stages, "input build s"):
         if args.workload == "long-streams":
             inputs = workloads.long_inputs(args.seed)
         else:
             inputs = workloads.fleet_inputs(args.seed, group=group)
-    freeze_inputs()
+    with Stopwatch(stages, "reference check s"):
+        workloads.check_reference(inputs.contents)
+    inputs_kib = inputs_resident(base_kib)
     requests = inputs.before + inputs.timed + inputs.after
     start = len(inputs.before)
     run = Run(
@@ -198,8 +211,8 @@ def serve_workload(args, drive, layers, workloads) -> Run:
         request_kind="batch" if group > 1 else "append",
         states_per_pass=inputs.states_per_pass,
     )
-    service = drive.open_service(args.workload)
-    worker_pids = [p.pid for p in multiprocessing.active_children()]
+    expected = {stream.name: stream.content for stream in inputs.streams}
+    sent = sum(frames for _, _, frames in requests)
     tracer = layers.LayerTracer()
 
     def one_pass(traced: bool) -> Pass:
@@ -218,29 +231,25 @@ def serve_workload(args, drive, layers, workloads) -> Run:
             result.layers["streams.snapshot_s"] = _rebuild_seconds(service) - rebuilds
         after, out_after = drive.serve(service, decoder, inputs.after)
         result.latencies = before + timed + after
-        # Decoded now, so the raw responses of earlier passes do not
-        # pile up in the peak RSS.
-        result.outputs = _read_responses((out_before, out_timed, out_after))
+        # Checked now, so no pass's responses outlive it.
+        result.check = _verify_serve(
+            _read_responses((out_before, out_timed, out_after)), expected, sent)
         return result
 
-    measure(args, run, tracer, one_pass, in_process=service.pool is None)
-    run.rss_mb = peak_rss_mb(worker_pids)
+    measure(args, run, tracer, one_pass)
+    run.rss_mb = peak_rss_mb(inputs_kib, worker_pids)
     cache = _service_cache(service)
     service.close()
 
-    with Stopwatch(stages, "reference check s"):
-        workloads.check_reference(inputs.contents)
-    expected = {stream.name: stream.content for stream in inputs.streams}
-    sent = sum(frames for _, _, frames in requests)
-    checks = [_verify_serve(p.outputs, expected, sent) for p in run.passes + run.traced]
+    checks = [p.check for p in run.passes + run.traced]
     run.attempted = sent * len(checks)
     run.failed = sum(c["failed"] for c in checks)
     run.mismatches = sum(c["mismatches"] for c in checks)
-    for p, check in zip(run.traced, checks[len(run.passes):]):
-        opens = check["opens"] or 1
-        p.layers["streams.alerts"] = check["timed_alerts"]
-        p.layers["compile.plan_hit_ratio"] = check["plan_hits"] / opens
-        p.layers["compile.pool_hit_ratio"] = check["pool_hits"] / opens
+    for p in run.traced:
+        opens = p.check["opens"] or 1
+        p.layers["streams.alerts"] = p.check["timed_alerts"]
+        p.layers["compile.plan_hit_ratio"] = p.check["plan_hits"] / opens
+        p.layers["compile.pool_hit_ratio"] = p.check["pool_hits"] / opens
     run.totals = {
         "session.plan_states_held": cache["plan_states"],
         "compile.plans_compiled": cache["plan_cache_misses"],
@@ -254,6 +263,7 @@ def serve_workload(args, drive, layers, workloads) -> Run:
         "states per stream": inputs.states_per_pass / len(streams),
         "formula opens": inputs.formula_opens,
         "alerts per pass": statistics.median(c["alerts"] for c in checks),
+        "inputs resident MB": inputs_kib / 1024.0,
         **stages,
     }
     return run
@@ -319,17 +329,21 @@ def _verify_serve(counts: Dict[str, Any], expected, sent: int) -> Dict[str, Any]
     refused = max(0, sent - counts["ok"] - counts["errors"])
     counts["failed"] = counts["errors"] + refused
     counts["mismatches"] = mismatches
+    del counts["closed"]
     return counts
 
 
 # -- batch workload -----------------------------------------------------------
 
 
-def batch_workload(args, drive, layers, workloads) -> Run:
+def batch_workload(args, backend, drive, layers, workloads) -> Run:
     stages: Dict[str, float] = {}
+    base_kib = status_kib("VmRSS")
     with Stopwatch(stages, "input build s"):
         inputs = workloads.batch_inputs(args.seed)
-    freeze_inputs()
+    with Stopwatch(stages, "reference check s"):
+        workloads.check_reference(inputs.contents)
+    inputs_kib = inputs_resident(base_kib)
     items = inputs.items
     run = Run(
         kinds=["trace"] * len(items),
@@ -343,11 +357,11 @@ def batch_workload(args, drive, layers, workloads) -> Run:
     def one_pass(traced: bool) -> Pass:
         result = Pass()
         gc.collect()
-        context = drive.BatchContext()
+        context = backend.BatchContext()
         if traced:
             mark = tracer.mark()
         started = time.perf_counter()
-        result.latencies, result.outputs = drive.check_batch(context, items)
+        result.latencies, verdicts = drive.check_batch(context, items)
         result.window_s = time.perf_counter() - started
         if traced:
             result.layers = tracer.since(mark)
@@ -359,21 +373,13 @@ def batch_workload(args, drive, layers, workloads) -> Run:
             result.layers["streams.alerts"] = 0
             result.layers["streams.snapshot_s"] = 0.0
         cache.update(context.session.cache_statistics())
+        result.check = {"mismatches": _verify_batch(items, verdicts)}
         return result
 
     measure(args, run, tracer, one_pass)
-    run.rss_mb = peak_rss_mb([])
+    run.rss_mb = peak_rss_mb(inputs_kib, [])
 
-    with Stopwatch(stages, "reference check s"):
-        workloads.check_reference(inputs.contents)
-    for p in run.passes + run.traced:
-        for item, got in zip(items, p.outputs):
-            if got != item.content.expected:
-                run.mismatches += 1
-                if run.mismatches <= 3:
-                    print(f"MISMATCH {item.content.family} trace of "
-                          f"{len(item.content.rows)} states: checked {got} "
-                          f"expected {item.content.expected}", file=sys.stderr)
+    run.mismatches = sum(p.check["mismatches"] for p in run.passes + run.traced)
     run.attempted = len(items) * len(run.passes + run.traced)
     run.totals = {
         "session.plan_states_held": cache["plan_states"],
@@ -385,9 +391,24 @@ def batch_workload(args, drive, layers, workloads) -> Run:
         "distinct contents": len(inputs.contents) + 1,
         "faulty share": sum(i.content.faulty for i in items) / len(items),
         "states per trace": inputs.states_per_pass / len(items),
+        "inputs resident MB": inputs_kib / 1024.0,
         **stages,
     }
     return run
+
+
+def _verify_batch(items, verdicts) -> int:
+    """Compare every checked verdict with the reference; returns the
+    number of traces that disagree."""
+    mismatches = 0
+    for item, got in zip(items, verdicts):
+        if got != item.content.expected:
+            mismatches += 1
+            if mismatches <= 3:
+                print(f"MISMATCH {item.content.family} trace of "
+                      f"{len(item.content.rows)} states: checked {got} "
+                      f"expected {item.content.expected}", file=sys.stderr)
+    return mismatches
 
 
 def _hit_ratio(snapshot, name) -> float:
@@ -515,14 +536,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"perfbench: repro imported from {repro.__file__}, not {SRC}",
               file=sys.stderr)
         return 2
+    import backend
     import drive
     import layers
     import workloads
 
     if args.workload == "batch-check":
-        run = batch_workload(args, drive, layers, workloads)
+        run = batch_workload(args, backend, drive, layers, workloads)
     else:
-        run = serve_workload(args, drive, layers, workloads)
+        run = serve_workload(args, backend, drive, layers, workloads)
     if args.trace:
         metrics = per_layer(args, run, layers.SELF_TIME_METRICS)
     else:

@@ -3,7 +3,9 @@
 Usage: ``python3 perfbench/setup_probe.py <workload>``.  Times ``import
 repro`` through the construction of the workload's service (shard
 workers included) or checking session and one warm-up compile per spec
-family, prints the seconds as one JSON number, then tears down.
+family, prints the seconds as one JSON number, then tears down.  Only
+``backend.py`` is imported, which imports the program's entry points and
+none of the benchmark's input generators.
 """
 
 import time
@@ -17,16 +19,16 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 import repro  # noqa: E402,F401
-import drive  # noqa: E402
+import backend  # noqa: E402
 
 
 def main() -> int:
     workload = sys.argv[1]
     if workload == "batch-check":
-        drive.BatchContext()
+        backend.BatchContext()
         service = None
     else:
-        service = drive.open_service(workload)
+        service = backend.open_service(workload)
     elapsed = time.perf_counter() - started
     if service is not None:
         service.close()

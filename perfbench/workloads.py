@@ -22,20 +22,19 @@ from repro.gen.cases import SYSTEM_FACTORIES
 from repro.gen.loadgen import LOAD_FAMILIES, StreamScript
 from repro.semantics.state import OperationRecord, State
 from repro.semantics.trace import Trace
-from repro.serve.protocol import encode_frame, state_to_row, trace_to_rows
+from repro.serve.protocol import encode_frame, trace_to_rows
 from repro.serve.streams import SPEC_FACTORIES
 from repro.syntax.pretty import to_ascii
 
-FAMILIES = ("mutex", "reliable_queue", "arbiter", "request_ack")
+from backend import FAMILIES, LASSO_EXPECTED, LASSO_FORMULAS, LASSO_STEM, lasso_rows
 
 #: fleet-churn / sharded-fleet shape.
-FLEET_STREAMS = 2000  # per pass; a run makes several passes
+FLEET_STREAMS = 1000  # per pass; a run makes several passes
 FLEET_POOL = 400  # distinct seeded simulator runs the streams draw from
 FLEET_MAX_OPEN = 128
 FLEET_FAULT_RATE = 0.2
 FLEET_FORMULA_OPENS = 0.25
 SHARD_GROUP = 64  # frames per request in sharded-fleet
-SHARDS = 2
 
 #: long-streams shape: 12 streams per family, 4-state appends.
 LONG_STREAMS_PER_FAMILY = 12
@@ -47,22 +46,8 @@ LONG_QUEUE_VALUES = 20
 LONG_POOL = {"mutex": 5, "reliable_queue": 3, "arbiter": 12, "request_ack": 12}
 
 #: batch-check shape.
-BATCH_SHORT_TRACES = 1000
-BATCH_LONG_STATES = 20_000
-
-#: The 100k-state lasso of ``benchmarks/bench_columnar.py`` and its six
-#: formulas, with verdicts pinned from the interpreting evaluator.
-LASSO_STEM = 99_990
-LASSO_CYCLE = 12
-LASSO_FORMULAS = (
-    "[] (p -> (q \\/ x != 3))",
-    "<> (x == 7 /\\ p)",
-    "[] (x >= 0)",
-    "<> (x == 11)",
-    "[] ((p /\\ q) -> x < 9)",
-    "[] (~p \\/ ~q \\/ x == 0 \\/ x == 2 \\/ x == 4 \\/ x == 6 \\/ x == 8)",
-)
-LASSO_EXPECTED = (False, True, True, False, False, False)
+BATCH_SHORT_TRACES = 500
+BATCH_LONG_STATES = 10_000
 
 #: Binder renamings of the quantified queue clause: each stays one plan
 #: under alpha-invariant interning.
@@ -193,7 +178,7 @@ def _open_frame(stream: Stream, texts, rng: random.Random) -> Dict[str, Any]:
 def fleet_inputs(seed: int, group: int = 1) -> ServeInputs:
     """fleet-churn (``group=1``) and sharded-fleet (``group=64``) requests.
 
-    2,000 short-lived streams, each open -> one append of its whole run
+    1,000 short-lived streams, each open -> one append of its whole run
     -> close, interleaved at random with at most 128 open at once.  About
     a quarter of the opens send clause text instead of a spec name.
     """
@@ -335,16 +320,8 @@ class BatchInputs:
     states_per_pass: int
 
 
-def lasso_rows(count: int = LASSO_STEM + LASSO_CYCLE) -> List[Dict[str, Any]]:
-    return [
-        state_to_row(State({"p": i % 2 == 0, "q": i % 3 == 0,
-                            "x": (i * 7 + i // 13) % 10}))
-        for i in range(count)
-    ]
-
-
 def batch_inputs(seed: int) -> BatchInputs:
-    """batch-check: 1,000 short runs, one ~20k-state run per propositional
+    """batch-check: 500 short runs, one ~10k-state run per propositional
     family, and the 100k-state lasso, in seeded order.
 
     The queue family has no long run: its quantified clause costs grow
