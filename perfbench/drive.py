@@ -17,6 +17,7 @@ import time
 from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
+from hostspeed import HostSpeed
 from repro.semantics import trace as trace_module
 from repro.serve import protocol
 from repro.serve.service import MonitorService
@@ -29,13 +30,17 @@ def serve(
     service: MonitorService,
     decoder: protocol.FrameDecoder,
     requests: List[Tuple[str, bytes, int]],
+    host: Optional[HostSpeed] = None,
 ) -> Tuple[array, List[bytes]]:
     """Send each request, wait for its encoded responses; returns
-    ``(latencies_s, response_bytes)`` in request order."""
+    ``(latencies_s, response_bytes)`` in request order.  With a ``host``,
+    the host-speed kernel runs between requests (``HostSpeed.tick``)."""
     clock = time.perf_counter
     latencies = array("d")
     outputs: List[bytes] = []
     for _, data, _ in requests:
+        if host is not None:
+            host.tick()
         started = clock()
         lines = decoder.feed(data)
         frames: List[Dict[str, Any]] = []
@@ -57,14 +62,19 @@ def serve(
 
 
 def check_batch(
-    context: BatchContext, items: List[workloads.BatchItem]
+    context: BatchContext,
+    items: List[workloads.BatchItem],
+    host: Optional[HostSpeed] = None,
 ) -> Tuple[array, List[Dict[str, Optional[bool]]]]:
-    """Rows to verdicts for every item; returns ``(latencies_s, verdicts)``."""
+    """Rows to verdicts for every item; returns ``(latencies_s,
+    verdicts)``; ``host`` as in ``serve``."""
     clock = time.perf_counter
     session = context.session
     latencies = array("d")
     verdicts: List[Dict[str, Optional[bool]]] = []
     for item in items:
+        if host is not None:
+            host.tick()
         started = clock()
         states = protocol.rows_to_states(item.content.rows)
         trace = trace_module.Trace(states, loop_start=item.loop_start)

@@ -9,8 +9,9 @@ Workloads: ``fleet-churn``, ``long-streams``, ``batch-check``,
 each in turn and exits with the worst exit code.  A run repeats passes
 over the seeded inputs for about ``--seconds``; each pass's outputs are
 checked against reference verdicts after its timed window.  Timings
-take each request's fastest time across the passes, so the host's slow
-phases, which only ever add time, do not move them.  ``--trace 0``
+are taken per pass, divided by the pass's host-speed factor
+(``hostspeed.py``), and reported as the median across the passes, so
+the host's fast and slow phases do not move them.  ``--trace 0``
 reports the end-to-end metrics; ``--trace 1`` spends half the time
 untraced and half with every layer wrapped, and reports the per-layer
 breakdown.  The last line of standard
@@ -45,11 +46,13 @@ SETUP_PROBES = 9
 
 class Pass:
     """One pass over the inputs: per-request latencies in request order,
-    the timed window's wall, the counts its outputs were checked into,
-    and (traced) the per-layer values."""
+    the host-speed factor they ran at, the timed window's wall, the
+    counts its outputs were checked into, and (traced) the per-layer
+    values."""
 
     def __init__(self) -> None:
         self.latencies: Sequence[float] = ()
+        self.factor = 1.0
         self.window_s = 0.0
         self.check: Dict[str, int] = {}
         self.layers: Dict[str, float] = {}
@@ -71,21 +74,22 @@ class Run:
         self.mismatches = 0
         self.rss_mb = 0.0
         self.setup_samples: List[float] = []
+        self.setup_scaled: List[float] = []
         self.totals: Dict[str, float] = {}
         self.info: Dict[str, Any] = {}
 
 
 def run_passes(budget_s: float, one_pass: Callable[[], Pass],
-               between: Callable[[], None] = lambda: None) -> List[Pass]:
+               between: Callable[[Pass], None] = lambda _: None) -> List[Pass]:
     """Passes until the budget is spent; a pass that would end more than
     half a pass past the budget is not started.  ``between`` runs after
-    each pass, outside its window."""
+    each pass, outside its window, and is handed that pass."""
     passes: List[Pass] = []
     started = time.perf_counter()
     elapsed = last = 0.0
     while not passes or elapsed + last / 2 < budget_s:
         passes.append(one_pass())
-        between()
+        between(passes[-1])
         last = time.perf_counter() - started - elapsed
         elapsed += last
     return passes
@@ -96,16 +100,19 @@ def measure(args, run: Run, tracer, one_pass: Callable[[bool], Pass]) -> None:
 
     Without tracing, one set-up probe follows each pass until there are
     ``SETUP_PROBES``, so the probes sample the host at different times.
+    Each probe is scaled by the host-speed factor of the pass before it.
     """
     budget = args.seconds / 2 if args.trace else args.seconds
 
-    def probe() -> None:
+    def probe(after: Pass) -> None:
         if not args.trace and len(run.setup_samples) < SETUP_PROBES:
-            run.setup_samples.append(setup_seconds(args.workload))
+            measured = setup_seconds(args.workload)
+            run.setup_samples.append(measured)
+            run.setup_scaled.append(measured / after.factor)
 
     run.passes = run_passes(budget, lambda: one_pass(False), probe)
     while not args.trace and len(run.setup_samples) < SETUP_PROBES:
-        probe()
+        probe(run.passes[-1])
     if args.trace:
         tracer.install()
         try:
@@ -185,7 +192,7 @@ class Stopwatch:
 # -- serve workloads ----------------------------------------------------------
 
 
-def serve_workload(args, backend, drive, layers, workloads) -> Run:
+def serve_workload(args, backend, drive, hostspeed, layers, workloads) -> Run:
     from repro.serve import protocol
 
     stages: Dict[str, float] = {}
@@ -202,6 +209,7 @@ def serve_workload(args, backend, drive, layers, workloads) -> Run:
             inputs = workloads.fleet_inputs(args.seed, group=group)
     with Stopwatch(stages, "reference check s"):
         workloads.check_reference(inputs.contents)
+    host = hostspeed.HostSpeed()
     inputs_kib = inputs_resident(base_kib)
     requests = inputs.before + inputs.timed + inputs.after
     start = len(inputs.before)
@@ -218,19 +226,25 @@ def serve_workload(args, backend, drive, layers, workloads) -> Run:
     def one_pass(traced: bool) -> Pass:
         result = Pass()
         decoder = protocol.FrameDecoder()
-        before, out_before = drive.serve(service, decoder, inputs.before)
+        # The traced run compares traced with untraced windows, so
+        # neither runs the host-speed kernel.
+        sampler = None if args.trace else host
+        host.reset()
+        before, out_before = drive.serve(service, decoder, inputs.before, sampler)
         gc.collect()
         if traced:
             mark = tracer.mark()
             rebuilds = _rebuild_seconds(service)
         started = time.perf_counter()
-        timed, out_timed = drive.serve(service, decoder, inputs.timed)
+        timed, out_timed = drive.serve(service, decoder, inputs.timed, sampler)
         result.window_s = time.perf_counter() - started
         if traced:
             result.layers = tracer.since(mark)
             result.layers["streams.snapshot_s"] = _rebuild_seconds(service) - rebuilds
-        after, out_after = drive.serve(service, decoder, inputs.after)
+        after, out_after = drive.serve(service, decoder, inputs.after, sampler)
         result.latencies = before + timed + after
+        if sampler is not None:
+            result.factor = host.factor()
         # Checked now, so no pass's responses outlive it.
         result.check = _verify_serve(
             _read_responses((out_before, out_timed, out_after)), expected, sent)
@@ -336,13 +350,14 @@ def _verify_serve(counts: Dict[str, Any], expected, sent: int) -> Dict[str, Any]
 # -- batch workload -----------------------------------------------------------
 
 
-def batch_workload(args, backend, drive, layers, workloads) -> Run:
+def batch_workload(args, backend, drive, hostspeed, layers, workloads) -> Run:
     stages: Dict[str, float] = {}
     base_kib = status_kib("VmRSS")
     with Stopwatch(stages, "input build s"):
         inputs = workloads.batch_inputs(args.seed)
     with Stopwatch(stages, "reference check s"):
         workloads.check_reference(inputs.contents)
+    host = hostspeed.HostSpeed()
     inputs_kib = inputs_resident(base_kib)
     items = inputs.items
     run = Run(
@@ -358,11 +373,17 @@ def batch_workload(args, backend, drive, layers, workloads) -> Run:
         result = Pass()
         gc.collect()
         context = backend.BatchContext()
+        # The traced run compares traced with untraced windows, so
+        # neither runs the host-speed kernel.
+        sampler = None if args.trace else host
+        host.reset()
         if traced:
             mark = tracer.mark()
         started = time.perf_counter()
-        result.latencies, verdicts = drive.check_batch(context, items)
+        result.latencies, verdicts = drive.check_batch(context, items, sampler)
         result.window_s = time.perf_counter() - started
+        if sampler is not None:
+            result.factor = host.factor()
         if traced:
             result.layers = tracer.since(mark)
             metrics = context.session.metrics_snapshot()
@@ -428,33 +449,53 @@ def percentile(samples: List[float], q: float) -> float:
 
 def end_to_end(args, run: Run):
     passes = run.passes
-    # Each request's fastest time across the passes: the host's slow
-    # phases only ever add time, so best-of-N is what repeats run to run.
-    best = [min(p.latencies[i] for p in passes) for i in range(len(run.kinds))]
-    window = sum(best[i] for i in run.timed)
-    samples = [b for b, kind in zip(best, run.kinds) if kind == run.request_kind]
-    setup = run.setup_samples
+
+    def timing(value: Callable[[Pass], float], scaled: bool = True) -> float:
+        """``value`` of each pass, divided by the pass's host-speed
+        factor (``hostspeed.py``) unless unscaled; the median across
+        the passes."""
+        return statistics.median(value(p) / (p.factor if scaled else 1.0) for p in passes)
+
+    def busy(p: Pass) -> float:
+        return sum(p.latencies[i] for i in run.timed)
+
+    def quantile(kind: str, q: float) -> Callable[[Pass], float]:
+        return lambda p: percentile(
+            [latency for latency, k in zip(p.latencies, run.kinds) if k == kind], q)
+
+    n_timed = len(run.timed) * len(passes)
+    n_request = run.kinds.count(run.request_kind) * len(passes)
+    setup = run.setup_scaled
     metrics = {
-        "states_per_s": (run.states_per_pass / window, "1/s", len(run.timed)),
-        "request_p50_us": (percentile(samples, 0.50) * 1e6, "us", len(samples)),
+        "states_per_s": (run.states_per_pass / timing(busy), "1/s", n_timed),
+        "request_p50_us": (timing(quantile(run.request_kind, 0.5)) * 1e6, "us", n_request),
         "setup_s": (statistics.median(setup), "s", len(setup)),
         "peak_rss_mb": (run.rss_mb, "MB", 1),
     }
     rows = [(name, value, unit, n) for name, (value, unit, n) in metrics.items()]
-    # The same latencies under the names of the operations they time.
+    rows += [
+        ("measured states_per_s",
+         run.states_per_pass / timing(busy, scaled=False), "1/s", n_timed),
+        ("measured request_p50_us",
+         timing(quantile(run.request_kind, 0.5), scaled=False) * 1e6, "us", n_request),
+        ("measured setup_s", statistics.median(run.setup_samples), "s", len(setup)),
+    ]
+    # Every request kind's percentiles, scaled like the metrics.
     for kind in ("open", "append", "close", "batch", "trace"):
-        kind_samples = [b for b, k in zip(best, run.kinds) if k == kind]
-        if kind_samples:
+        count = run.kinds.count(kind) * len(passes)
+        if count:
             for q in (0.5, 0.9, 0.99):
                 rows.append((f"{kind}_p{round(q * 100)}_us",
-                             percentile(kind_samples, q) * 1e6, "us", len(kind_samples)))
+                             timing(quantile(kind, q)) * 1e6, "us", count))
     rows.append(("error_rate", run.failed / run.attempted, "ratio", run.attempted))
     run.info["pass states_per_s"] = " ".join(
-        f"{run.states_per_pass / p.window_s:.0f}" for p in passes)
-    run.info["setup_s samples"] = " ".join(f"{x:.3f}" for x in setup)
+        f"{run.states_per_pass / busy(p):.0f}" for p in passes)
+    run.info["pass host factors"] = " ".join(f"{p.factor:.3f}" for p in passes)
+    run.info["setup_s samples"] = " ".join(f"{x:.3f}" for x in run.setup_samples)
     print(f"workload {args.workload}  seed {args.seed}  passes {len(passes)}  "
-          f"window {sum(p.window_s for p in passes):.2f} s  "
-          f"(timings: each request's best of {len(passes)} passes)")
+          f"window {sum(p.window_s for p in passes):.2f} s  (timings: per pass, "
+          f"scaled to the reference host speed, median of {len(passes)} passes; "
+          f"measured rows unscaled)")
     print_table(run.info, rows)
     return {name: {"value": value, "unit": unit}
             for name, (value, unit, _) in metrics.items()}
@@ -538,13 +579,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     import backend
     import drive
+    import hostspeed
     import layers
     import workloads
 
+    modules = (backend, drive, hostspeed, layers, workloads)
     if args.workload == "batch-check":
-        run = batch_workload(args, backend, drive, layers, workloads)
+        run = batch_workload(args, *modules)
     else:
-        run = serve_workload(args, backend, drive, layers, workloads)
+        run = serve_workload(args, *modules)
     if args.trace:
         metrics = per_layer(args, run, layers.SELF_TIME_METRICS)
     else:

@@ -36,14 +36,14 @@ FLEET_FAULT_RATE = 0.2
 FLEET_FORMULA_OPENS = 0.25
 SHARD_GROUP = 64  # frames per request in sharded-fleet
 
-#: long-streams shape: 12 streams per family, 4-state appends.
-LONG_STREAMS_PER_FAMILY = 12
+#: long-streams shape: 6 streams per family, 4-state appends.
+LONG_STREAMS_PER_FAMILY = 6
 LONG_APPEND = 4
 LONG_FAULT_RATE = 0.2
 LONG_QUEUE_VALUES = 20
 #: Distinct contents per family (interpreter cost bounds these; the
 #: queue reference is cubic in its value count).
-LONG_POOL = {"mutex": 5, "reliable_queue": 3, "arbiter": 12, "request_ack": 12}
+LONG_POOL = {"mutex": 5, "reliable_queue": 3, "arbiter": 6, "request_ack": 6}
 
 #: batch-check shape.
 BATCH_SHORT_TRACES = 500
@@ -230,7 +230,7 @@ def fleet_inputs(seed: int, group: int = 1) -> ServeInputs:
 
 def _long_content(family: str, faulty: bool, stratum: float, rng: random.Random) -> Content:
     """One long run; ``stratum`` in [0, 1) places its length in the
-    family's range, so a pool's lengths spread evenly whatever the seed.
+    family's range, so a pool's lengths are the same whatever the seed.
     Faulty variants carry one injected violation."""
     systems = SYSTEM_FACTORIES()
     sim_seed = rng.randrange(1 << 30)
@@ -262,7 +262,7 @@ def _long_content(family: str, faulty: bool, stratum: float, rng: random.Random)
 
 
 def long_inputs(seed: int) -> ServeInputs:
-    """long-streams: 48 streams opened before the window, 4-state
+    """long-streams: 24 streams opened before the window, 4-state
     appends interleaved round-robin inside it, closes after it."""
     rng = random.Random(seed)
     contents: List[Content] = []
@@ -271,7 +271,7 @@ def long_inputs(seed: int) -> ServeInputs:
         size = LONG_POOL[family]
         faulty_count = max(1, round(size * LONG_FAULT_RATE))
         pool = [
-            _long_content(family, index < faulty_count, (index + rng.random()) / size, rng)
+            _long_content(family, index < faulty_count, (index + 0.5) / size, rng)
             for index in range(size)
         ]
         contents.extend(pool)
