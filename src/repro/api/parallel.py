@@ -17,8 +17,7 @@ are **alpha-invariant**: requests whose formulas differ only in
 bound-variable names address one store entry, so a campaign sweeping
 renamed variants of one specification compiles it once in the parent and
 every worker warm-loads that single plan (``plan_alpha_interned`` counts
-the collapsed variants; stores written before alpha-interning migrate on
-first touch, visible as ``plan_digest_migrations``).  Each worker's
+the collapsed variants).  Each worker's
 cache statistics come back with its chunk and are exposed on
 ``Session.last_parallel_cache_stats``.
 """
@@ -44,12 +43,9 @@ def _prepare_columns(requests: Sequence[CheckRequest]) -> None:
     no worker pays the encoding pass again — the columns are the wire
     format, handed to workers as-is.
     """
-    seen = set()
     for request in requests:
-        trace = request.trace
-        if isinstance(trace, Trace) and id(trace) not in seen:
-            seen.add(id(trace))
-            trace.columns  # noqa: B018 — property builds and caches the store
+        if isinstance(request.trace, Trace):
+            request.trace.columns  # noqa: B018 — property builds once, then caches
 
 
 def split_chunks(

@@ -32,8 +32,11 @@ from __future__ import annotations
 
 import time
 import warnings
+import weakref
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from ..compile.dag import CompileError
 from ..lll.syntax import LLLExpression
@@ -64,6 +67,13 @@ def _domain_key(domain: Optional[Mapping[str, Iterable[Any]]]) -> Any:
         return tuple(sorted((name, tuple(values)) for name, values in domain.items()))
     except TypeError:
         return _UNCACHEABLE  # unhashable domain: cannot be shared
+
+
+def _unbind(token: object, traces: "weakref.WeakSet[Trace]") -> None:
+    """Drop one session's bindings from every trace it bound."""
+    for trace in list(traces):
+        trace._bindings.pop(token, None)
+    traces.clear()
 
 
 class Session:
@@ -194,32 +204,30 @@ class Session:
             ("outcome",),
         )
         self._traces: Dict[str, Trace] = {}
-        self._evaluators: Dict[Tuple[int, Any], Evaluator] = {}
-        self._trace_refs: Dict[int, Trace] = {}
+        # The session's four caches.  The digest-keyed plan LRU (lazy).
         self._plan_cache: Optional[Any] = None
-        self._plan_states: Dict[Tuple[str, int, Any], Any] = {}
-        # Spec plans re-resolved by specification identity, skipping the
-        # per-call clause interpretation + digest on repeated check_spec
-        # calls (conformance campaigns check one spec on many traces).
-        # Values are (plan, specification): holding the spec in the entry
-        # keeps its id() valid for exactly as long as the key can match.
-        # Bounded LRU so sessions streaming fresh Specification objects
-        # (the spec-mode fuzzer) stay bounded, and entries drop when the
-        # plan cache evicts their plan.
-        self._spec_plans: "OrderedDict[Tuple[int, int, Any], Tuple[Any, Any]]" = (
-            OrderedDict()
-        )
-        self._spec_plan_failures: set = set()
-        # Monitor fast path: formulas resolved by *identity* skip the
-        # per-open clause parse + spec digest (a serve registry opening
-        # thousands of streams passes the same formula objects each time).
-        # Entries pin the formula objects so the id() keys cannot recycle.
-        self._monitor_plans: "OrderedDict[Any, Tuple[Any, Any, Any]]" = (
+        # Plans resolved by the *identity* of the caller's objects: a
+        # check_spec on a Specification seen before (conformance campaigns
+        # check one spec on many traces) or a monitor over formula objects
+        # seen before (the serve registry reuses one set per spec family)
+        # skips clause interpretation, parsing and the digest.  Values are
+        # (plan, parsed items, pinned objects); pinning keeps the id()
+        # keys valid for as long as they can match, and a spec that failed
+        # to lower is remembered with plan ``None``.  Bounded LRU whose
+        # entries also drop when the plan cache evicts their plan.
+        self._identity_plans: "OrderedDict[Any, Tuple[Any, Any, Any]]" = (
             OrderedDict()
         )
         # Lazy bounded pool of lowered incremental plan states, keyed by
         # (plan digest, domain key, unroll cap); see release_monitor.
         self._plan_state_pool: Optional[Any] = None
+        # The traces holding this session's evaluators and bound plan
+        # states.  The bindings themselves live on each trace (under this
+        # session's token), so they die with the trace; the finalizer
+        # unbinds whatever traces outlive the session.
+        self._token = object()
+        self._bound: "weakref.WeakSet[Trace]" = weakref.WeakSet()
+        weakref.finalize(self, _unbind, self._token, self._bound)
 
     # -- traces and evaluators -----------------------------------------------------
 
@@ -260,40 +268,53 @@ class Session:
 
         Requests over the same trace and domain reuse one memo table, so a
         batch of clauses — or a whole conformance campaign — shares every
-        subformula verdict.  Shared evaluators (and their traces) stay alive
-        for the session's lifetime; long-lived sessions churning through
-        many traces should call :meth:`clear_caches` between campaigns.
+        subformula verdict.  The evaluator is held by the trace itself and
+        lives exactly as long as the trace: dropping the trace frees it.
         """
         if domain is None:
             domain = self._default_domain
-        domain_key = _domain_key(domain)
-        if domain_key is _UNCACHEABLE:
-            return Evaluator(trace, domain)
-        key = (id(trace), domain_key)
-        evaluator = self._evaluators.get(key)
-        if evaluator is None:
-            evaluator = Evaluator(trace, domain)
-            self._evaluators[key] = evaluator
-            # Keep the trace alive so the id() key cannot be recycled.
-            self._trace_refs[id(trace)] = trace
-        return evaluator
+        return self._binding(
+            trace,
+            ("evaluator", _domain_key(domain), None, None),
+            lambda: Evaluator(trace, domain),
+        )
+
+    def _binding(self, trace: Trace, key: Tuple[Any, ...], build: Callable[[], Any]):
+        """This session's state bound to ``trace`` under ``key``.
+
+        ``key`` is ``(plan digest or "evaluator", domain key, vectorize,
+        cap)``; the state is built on first use and stored in the trace's
+        own binding dict under this session's token.  Uncacheable domains
+        get a fresh, unshared state.
+        """
+        if key[1] is _UNCACHEABLE:
+            return build()
+        try:
+            bindings = trace._bindings
+        except AttributeError:
+            bindings = trace._bindings = {}
+        mine = bindings.get(self._token)
+        if mine is None:
+            mine = bindings[self._token] = {}
+            self._bound.add(trace)
+        state = mine.get(key)
+        if state is None:
+            state = mine[key] = build()
+        return state
 
     def clear_caches(self) -> "Session":
-        """Release every shared evaluator, memo table, plan and pinned trace.
+        """Release every shared evaluator, memo table and plan.
 
         Both the plans and every bound plan state (single- and multi-root)
         are dropped, and the plan-cache hit/miss/eviction statistics reset
         to zero — the counters always describe the current cache
         generation.  Named traces registered with :meth:`add_trace` are
-        kept; call this between campaigns on a long-lived session to bound
-        memory.
+        kept.  Shared state already dies with its trace, so this is only
+        needed to drop the state of traces the caller still holds, or to
+        start a fresh cache generation.
         """
-        self._evaluators.clear()
-        self._trace_refs.clear()
-        self._plan_states.clear()
-        self._spec_plans.clear()
-        self._spec_plan_failures.clear()
-        self._monitor_plans.clear()
+        _unbind(self._token, self._bound)
+        self._identity_plans.clear()
         if self._plan_state_pool is not None:
             self._plan_state_pool.clear()
         if self._plan_cache is not None:
@@ -327,7 +348,7 @@ class Session:
         """One snapshot of every cache this session holds.
 
         Plan-cache hit/miss/eviction and disk hit/write counters plus the
-        bound plan-state, evaluator and spec-identity entry counts — the
+        bound plan-state, evaluator and identity-plan entry counts — the
         numbers :mod:`repro.serve` surfaces per worker in service
         snapshots.  ``plan_disk_writes`` / ``plan_disk_hits`` are always
         present (zero without a persistent store), so one call reports the
@@ -337,10 +358,14 @@ class Session:
         stats: Dict[str, Any] = dict(self.plan_cache.statistics())
         stats.setdefault("plan_disk_writes", 0)
         stats.setdefault("plan_disk_hits", 0)
-        stats["plan_states"] = len(self._plan_states)
-        stats["evaluators"] = len(self._evaluators)
-        stats["spec_plan_entries"] = len(self._spec_plans)
-        stats["monitor_plan_entries"] = len(self._monitor_plans)
+        kinds = [
+            key[0] == "evaluator"
+            for trace in self._bound
+            for key in trace._bindings.get(self._token, ())
+        ]
+        stats["plan_states"] = kinds.count(False)
+        stats["evaluators"] = kinds.count(True)
+        stats["identity_plan_entries"] = len(self._identity_plans)
         if self._plan_state_pool is not None:
             stats.update(self._plan_state_pool.statistics())
         else:
@@ -376,9 +401,6 @@ class Session:
             "repro_plan_alpha_interned": (
                 "plan_alpha_interned",
                 "Cache lookups collapsed onto an alpha-equivalent plan."),
-            "repro_plan_digest_migrations": (
-                "plan_digest_migrations",
-                "Disk entries re-keyed from the pre-alpha digest."),
         }
         for name, (key, help_text) in gauges.items():
             if key in cache:
@@ -420,24 +442,20 @@ class Session:
 
         if domain is None:
             domain = self._default_domain
-        cap = options.get("forall_unroll_cap", self._forall_unroll_cap)
+        cap = options.setdefault("forall_unroll_cap", self._forall_unroll_cap)
         domain_key = _domain_key(domain)
-        plan = None
-        items: Any = None
-        from_cache = False
-        identity_key = None
-        if self._share_plan_states and domain_key is not _UNCACHEABLE:
-            identity_key = (
+        shared = self._share_plan_states and domain_key is not _UNCACHEABLE
+        identity = None
+        if shared:
+            identity = (
                 tuple((name, id(f)) for name, f in formulas.items()),
                 domain_key,
-                cap,
             )
-            entry = self._monitor_plans.get(identity_key)
-            if entry is not None:
-                self._monitor_plans.move_to_end(identity_key)
-                plan, items = entry[0], entry[1]
-                from_cache = True
-        if plan is None:
+        entry = self._recall(identity)
+        if entry is not None:
+            plan, items, _ = entry
+            from_cache = True
+        else:
             items = [
                 (name, parse_formula(f) if isinstance(f, str) else f)
                 for name, f in formulas.items()
@@ -445,16 +463,10 @@ class Session:
             plan, from_cache = self.plan_cache.get_spec(items, domain)
             if plan.sources != tuple(items):
                 self._m_plan_interned.child().inc()
-            if identity_key is not None:
-                self._monitor_plans[identity_key] = (
-                    plan, items, tuple(formulas.values()),
-                )
-                while len(self._monitor_plans) > self._SPEC_PLAN_IDENTITY_CAPACITY:
-                    self._monitor_plans.popitem(last=False)
-        options.setdefault("forall_unroll_cap", self._forall_unroll_cap)
+            self._remember(identity, plan, items, tuple(formulas.values()))
         pool_key = None
         pooled = None
-        if self._share_plan_states and domain_key is not _UNCACHEABLE:
+        if shared:
             pool_key = (plan.digest, domain_key, cap)
             pooled = self.plan_state_pool.acquire(pool_key)
             if pooled is not None and pooled.plan is not plan:
@@ -506,25 +518,44 @@ class Session:
     #: count, small enough that spec-streaming sessions stay bounded.
     _SPEC_PLAN_IDENTITY_CAPACITY = 64
 
+    def _recall(self, identity: Any) -> Optional[Tuple[Any, Any, Any]]:
+        """The identity-LRU entry for ``identity`` (``None`` = no key)."""
+        entry = self._identity_plans.get(identity)
+        if entry is not None:
+            self._identity_plans.move_to_end(identity)
+        return entry
+
+    def _remember(self, identity: Any, plan: Any, items: Any, pinned: Any) -> None:
+        if identity is None:
+            return
+        self._identity_plans[identity] = (plan, items, pinned)
+        while len(self._identity_plans) > self._SPEC_PLAN_IDENTITY_CAPACITY:
+            self._identity_plans.popitem(last=False)
+
+    def _spec_identity(self, specification, domain_key: Any) -> Any:
+        if domain_key is _UNCACHEABLE:
+            return None
+        # Clause lists only grow (and clauses are immutable), so (identity,
+        # clause count) safely re-resolves the plan.
+        return (id(specification), len(specification.clauses), domain_key)
+
     def _drop_plan_states_for(self, digest: str) -> None:
         """Drop plan states bound to an evicted plan (LRU eviction hook).
 
-        The spec identity cache drops its entries for the evicted plan
-        too, so an eviction from the bounded plan cache cannot be served
-        (and kept alive) through the identity shortcut.
+        The identity LRU and the plan-state pool drop their entries for
+        the evicted plan too, so an eviction from the bounded plan cache
+        cannot be served (and kept alive) through either shortcut.
         """
-        for key in [k for k in self._plan_states if k[0] == digest]:
-            del self._plan_states[key]
-        for key in [
-            k for k, (plan, _) in self._spec_plans.items() if plan.digest == digest
+        for trace in self._bound:
+            mine = trace._bindings.get(self._token, {})
+            for key in [k for k in mine if k[0] == digest]:
+                del mine[key]
+        for identity in [
+            identity
+            for identity, (plan, _, _) in self._identity_plans.items()
+            if plan is not None and plan.digest == digest
         ]:
-            del self._spec_plans[key]
-        for key in [
-            k
-            for k, (plan, _, _) in self._monitor_plans.items()
-            if plan.digest == digest
-        ]:
-            del self._monitor_plans[key]
+            del self._identity_plans[identity]
         if self._plan_state_pool is not None:
             self._plan_state_pool.drop_plan(digest)
 
@@ -542,7 +573,8 @@ class Session:
         each ``(plan, trace, domain)`` binding keeps one
         :class:`~repro.compile.runtime.PlanState` whose memo tables and
         endpoint indexes are shared across requests, exactly like
-        :meth:`evaluator` shares interpreter memo tables.
+        :meth:`evaluator` shares interpreter memo tables.  The state is
+        held by the trace itself and lives exactly as long as the trace.
 
         Returns ``(plan_state, plan_from_cache)``.
         """
@@ -551,25 +583,18 @@ class Session:
         plan, from_cache = self.plan_cache.get(formula, domain)
         if from_cache and plan.source != formula:
             self._m_plan_interned.child().inc()
-        domain_key = _domain_key(domain)
-        cap = self._forall_unroll_cap
-        if domain_key is _UNCACHEABLE:
-            return (
-                plan.evaluator(
-                    trace, domain, vectorize=vectorize, forall_unroll_cap=cap
-                ),
-                from_cache,
-            )
-        key = (plan.digest, id(trace), domain_key, bool(vectorize), cap)
-        state = self._plan_states.get(key)
-        if state is None:
-            state = plan.evaluator(
-                trace, domain, vectorize=vectorize, forall_unroll_cap=cap
-            )
-            self._plan_states[key] = state
-            # Keep the trace alive so the id() key cannot be recycled.
-            self._trace_refs[id(trace)] = trace
+        state = self._bind_plan(plan, trace, domain, _domain_key(domain), vectorize)
         return state, from_cache
+
+    def _bind_plan(self, plan, trace: Trace, domain, domain_key: Any, vectorize: bool):
+        cap = self._forall_unroll_cap
+        return self._binding(
+            trace,
+            (plan.digest, domain_key, bool(vectorize), cap),
+            lambda: plan.evaluator(
+                trace, domain, vectorize=vectorize, forall_unroll_cap=cap
+            ),
+        )
 
     def spec_plan_state(
         self,
@@ -586,52 +611,27 @@ class Session:
         ``(plan, trace, domain)`` binding keeps one
         :class:`~repro.compile.specplan.SpecPlanState` whose memo tables
         and endpoint indexes are shared across every clause *and* every
-        request.
+        request.  The state is held by the trace itself and lives exactly
+        as long as the trace.  A specification seen before is re-resolved
+        by identity, without re-interpreting and re-digesting its clauses.
 
         Returns ``(spec_plan_state, plan_from_cache)``.
         """
         if domain is None:
             domain = self._default_domain
         domain_key = _domain_key(domain)
-        plan = None
-        from_cache = True
-        if domain_key is not _UNCACHEABLE:
-            # Clause lists only grow (and clauses are immutable), so
-            # (identity, clause count) safely re-resolves the plan without
-            # re-interpreting and re-digesting every clause per trace.
-            plan_key = (id(specification), len(specification.clauses), domain_key)
-            entry = self._spec_plans.get(plan_key)
-            if entry is not None:
-                self._spec_plans.move_to_end(plan_key)
-                plan = entry[0]
-        if plan is None:
+        identity = self._spec_identity(specification, domain_key)
+        entry = self._recall(identity)
+        if entry is not None and entry[0] is not None:
+            plan, from_cache = entry[0], True
+        else:
             items = [
                 (clause.name, clause.interpreted_formula())
                 for clause in specification.clauses
             ]
             plan, from_cache = self.plan_cache.get_spec(items, domain)
-            if domain_key is not _UNCACHEABLE:
-                self._spec_plans[plan_key] = (plan, specification)
-                while len(self._spec_plans) > self._SPEC_PLAN_IDENTITY_CAPACITY:
-                    self._spec_plans.popitem(last=False)
-        cap = self._forall_unroll_cap
-        if domain_key is _UNCACHEABLE:
-            return (
-                plan.evaluator(
-                    trace, domain, vectorize=vectorize, forall_unroll_cap=cap
-                ),
-                from_cache,
-            )
-        key = (plan.digest, id(trace), domain_key, bool(vectorize), cap)
-        state = self._plan_states.get(key)
-        if state is None:
-            state = plan.evaluator(
-                trace, domain, vectorize=vectorize, forall_unroll_cap=cap
-            )
-            self._plan_states[key] = state
-            # Keep the trace alive so the id() key cannot be recycled.
-            self._trace_refs[id(trace)] = trace
-        return state, from_cache
+            self._remember(identity, plan, None, specification)
+        return self._bind_plan(plan, trace, domain, domain_key, vectorize), from_cache
 
     # -- engines ----------------------------------------------------------------------
 
@@ -855,18 +855,13 @@ class Session:
 
         resolved = self.resolve_trace(trace)
         use_spec_plan = self._prefer_compiled if compiled is None else compiled
-        # The spec object itself (identity-hashed) keys the negative cache,
-        # pinning it so a recycled id() can never alias a fresh spec.
-        failure_key = (
+        identity = self._spec_identity(
             specification,
-            len(specification.clauses),
             _domain_key(domain if domain is not None else self._default_domain),
         )
-        if (
-            use_spec_plan
-            and not (processes and processes > 1)
-            and failure_key not in self._spec_plan_failures
-        ):
+        entry = self._identity_plans.get(identity)
+        failed = entry is not None and entry[0] is None
+        if use_spec_plan and not (processes and processes > 1) and not failed:
             try:
                 state, from_cache = self.spec_plan_state(
                     resolved, specification, domain
@@ -874,7 +869,7 @@ class Session:
             except CompileError:
                 # Negative-cache the identity: a spec that cannot lower
                 # would otherwise pay a full failed compilation per trace.
-                self._spec_plan_failures.add(failure_key)
+                self._remember(identity, None, None, specification)
             else:
                 with self.tracer.span(
                     "check_spec",

@@ -36,8 +36,8 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..syntax.formulas import Formula
-from .plan import CompiledPlan, formula_digest, legacy_formula_digest
-from .specplan import SpecPlan, legacy_spec_digest, spec_digest
+from .plan import CompiledPlan, formula_digest
+from .specplan import SpecPlan, spec_digest
 
 __all__ = ["PlanCache", "DiskPlanStore", "DEFAULT_MAX_PLANS", "PLAN_FORMAT"]
 
@@ -47,7 +47,9 @@ PLAN_CACHE_ENV = "REPRO_PLAN_CACHE"
 
 #: Bump when the pickled plan layout changes incompatibly — stale files
 #: then read as misses (and are overwritten) instead of loading garbage.
-PLAN_FORMAT = 1
+#: Format 2: every plan's digest hashes what it compiled, and spec plans
+#: always carry ``canonical_sources``.
+PLAN_FORMAT = 2
 
 
 class DiskPlanStore:
@@ -152,7 +154,6 @@ class PlanCache:
         self.disk_writes = 0
         self.compile_time_s = 0.0
         self.alpha_interned = 0
-        self.digest_migrations = 0
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -203,28 +204,12 @@ class PlanCache:
         Returns ``(plan, from_cache)``.
         """
         shape = self._domain_shape(domain)
-        digest = formula_digest(formula, domain_shape=shape)
-        plan = self._lookup(digest)
-        if plan is not None:
-            if plan.source != formula:
-                self.alpha_interned += 1
-            return plan, True
-        plan = self._disk_load(digest, CompiledPlan)
-        if plan is None:
-            plan = self._migrate(
-                digest, legacy_formula_digest(formula, shape), CompiledPlan
-            )
-        if plan is not None:
-            if plan.source != formula:
-                self.alpha_interned += 1
-            self._store(digest, plan)
-            return plan, True
-        started = time.perf_counter()
-        plan = CompiledPlan(formula, digest=digest, domain_shape=shape)
-        self.compile_time_s += time.perf_counter() - started
-        self._store(digest, plan)
-        self._disk_store(digest, plan)
-        return plan, False
+        return self._resolve(
+            formula_digest(formula, domain_shape=shape),
+            CompiledPlan,
+            lambda plan: plan.source != formula,
+            lambda: CompiledPlan(formula, domain_shape=shape),
+        )
 
     def get_spec(
         self,
@@ -236,26 +221,38 @@ class PlanCache:
         Returns ``(spec_plan, from_cache)``; keyed by the spec digest plus
         domain shape, in the same LRU as single-formula plans.
         """
-        items = [(name, formula) for name, formula in items]
+        items = tuple((name, formula) for name, formula in items)
         shape = self._domain_shape(domain)
-        digest = spec_digest(items, domain_shape=shape)
+        return self._resolve(
+            spec_digest(items, domain_shape=shape),
+            SpecPlan,
+            lambda plan: plan.sources != items,
+            lambda: SpecPlan(items, domain_shape=shape),
+        )
+
+    def _resolve(
+        self,
+        digest: str,
+        expected_type: type,
+        renamed: Callable[[Any], bool],
+        compile_plan: Callable[[], Any],
+    ) -> Tuple[Any, bool]:
+        """Memory, then disk, then a fresh compilation for ``digest``.
+
+        ``renamed(plan)`` tells whether a cached plan was compiled from an
+        alpha-equivalent (renamed) source rather than this one.
+        """
         plan = self._lookup(digest)
-        if plan is not None:
-            if plan.sources != tuple(items):
-                self.alpha_interned += 1
-            return plan, True
-        plan = self._disk_load(digest, SpecPlan)
         if plan is None:
-            plan = self._migrate(
-                digest, legacy_spec_digest(items, shape), SpecPlan
-            )
+            plan = self._disk_load(digest, expected_type)
+            if plan is not None:
+                self._store(digest, plan)
         if plan is not None:
-            if plan.sources != tuple(items):
+            if renamed(plan):
                 self.alpha_interned += 1
-            self._store(digest, plan)
             return plan, True
         started = time.perf_counter()
-        plan = SpecPlan(items, digest=digest, domain_shape=shape)
+        plan = compile_plan()
         self.compile_time_s += time.perf_counter() - started
         self._store(digest, plan)
         self._disk_store(digest, plan)
@@ -276,27 +273,6 @@ class PlanCache:
         if self._disk is not None and self._disk.store(digest, plan):
             self.disk_writes += 1
 
-    def _migrate(
-        self, digest: str, legacy_digest: str, expected_type: type
-    ) -> Optional[Any]:
-        """Adopt a disk entry written under the pre-alpha digest.
-
-        A store populated before alpha-interning keyed this plan by its
-        verbatim repr; re-key it under the alpha-invariant digest (safe:
-        renamed binders always enumerate the name-independent default
-        universe, so any member of the alpha class answers for all) and
-        rewrite it so the next process finds it directly.
-        """
-        if self._disk is None or legacy_digest == digest:
-            return None
-        plan = self._disk_load(legacy_digest, expected_type)
-        if plan is None:
-            return None
-        plan.digest = digest
-        self._disk_store(digest, plan)
-        self.digest_migrations += 1
-        return plan
-
     # -- maintenance ---------------------------------------------------------
 
     def clear(self) -> None:
@@ -313,7 +289,6 @@ class PlanCache:
         self.disk_writes = 0
         self.compile_time_s = 0.0
         self.alpha_interned = 0
-        self.digest_migrations = 0
 
     def statistics(self) -> Dict[str, Any]:
         """Counters reported on compiled-engine results."""
@@ -325,7 +300,6 @@ class PlanCache:
             "plan_cache_evictions": self.evictions,
             "plan_compile_time_s": self.compile_time_s,
             "plan_alpha_interned": self.alpha_interned,
-            "plan_digest_migrations": self.digest_migrations,
         }
         if self._disk is not None:
             stats["plan_cache_dir"] = self._disk.path

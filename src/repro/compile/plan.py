@@ -23,11 +23,12 @@ __all__ = [
     "CompiledPlan",
     "compile_formula",
     "formula_digest",
-    "legacy_formula_digest",
 ]
 
 
-def formula_digest(formula: Formula, domain_shape: Tuple[str, ...] = ()) -> str:
+def formula_digest(
+    formula: Formula, domain_shape: Tuple[str, ...] = (), verbatim: bool = False
+) -> str:
     """An alpha-invariant content digest of a formula (plus domain shape).
 
     The dataclass ``repr`` is fully structural, so equal formulas share a
@@ -37,17 +38,11 @@ def formula_digest(formula: Formula, domain_shape: Tuple[str, ...] = ()) -> str:
     quantification domains, not their values) keys plans the way the
     session cache hands them out — and freezes those binder names during
     canonicalization, since they select their domains by name.
+    ``verbatim=True`` hashes the formula exactly as given: a plan's digest
+    is the verbatim digest of the formula it compiled.
     """
-    canonical, _ = alpha_canonical(formula, frozenset(domain_shape))
-    payload = repr(canonical) + "\x00" + "\x00".join(domain_shape)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def legacy_formula_digest(
-    formula: Formula, domain_shape: Tuple[str, ...] = ()
-) -> str:
-    """The pre-alpha digest (verbatim repr) — kept so a persistent plan
-    store written before alpha-interning can be migrated on first touch."""
+    if not verbatim:
+        formula, _ = alpha_canonical(formula, frozenset(domain_shape))
     payload = repr(formula) + "\x00" + "\x00".join(domain_shape)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -66,7 +61,6 @@ class CompiledPlan:
     def __init__(
         self,
         formula: Formula,
-        digest: Optional[str] = None,
         domain_shape: Optional[Tuple[str, ...]] = None,
     ) -> None:
         self.source = formula
@@ -81,15 +75,10 @@ class CompiledPlan:
         self.canonical = canonical
         self.alpha_renames: Dict[str, Tuple[str, ...]] = renames
         self.normalized = normalize(canonical)
-        if digest is not None:
-            self.digest = digest
-        elif domain_shape is None:
-            # Verbatim compilation keeps the verbatim (repr-exact) digest:
-            # alpha-equivalent plans built directly may bind *different*
-            # explicit domains, so they must not share state-cache keys.
-            self.digest = legacy_formula_digest(formula)
-        else:
-            self.digest = formula_digest(formula, domain_shape)
+        # The digest of what was compiled: alpha-equivalent plans built
+        # directly may bind *different* explicit domains, so they keep
+        # distinct (verbatim) digests.
+        self.digest = formula_digest(canonical, domain_shape or (), verbatim=True)
         names = _logical_names(self.normalized)
         self.slot_names: Tuple[str, ...] = names
         self.slot_of: Dict[str, int] = {name: i for i, name in enumerate(names)}

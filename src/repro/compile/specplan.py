@@ -36,13 +36,14 @@ __all__ = [
     "SpecPlanState",
     "ClauseOutcome",
     "compile_specification",
-    "legacy_spec_digest",
     "spec_digest",
 ]
 
 
 def spec_digest(
-    items: Sequence[Tuple[str, Formula]], domain_shape: Tuple[str, ...] = ()
+    items: Sequence[Tuple[str, Formula]],
+    domain_shape: Tuple[str, ...] = (),
+    verbatim: bool = False,
 ) -> str:
     """An alpha-invariant digest of a (clause name, formula) sequence.
 
@@ -54,20 +55,12 @@ def spec_digest(
     same formulas under different clause names — whose per-clause results
     are addressed differently — get distinct plans.  Domain-shape names
     are frozen during canonicalization (they select domains by name).
+    ``verbatim=True`` hashes the clauses exactly as given (a plan's digest
+    is the verbatim digest of the clauses it compiled).
     """
-    frozen = frozenset(domain_shape)
-    payload = "\x00".join(
-        f"{name}\x1f{alpha_canonical(formula, frozen)[0]!r}"
-        for name, formula in items
-    )
-    payload += "\x00\x00" + "\x00".join(domain_shape)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def legacy_spec_digest(
-    items: Sequence[Tuple[str, Formula]], domain_shape: Tuple[str, ...] = ()
-) -> str:
-    """The pre-alpha digest (verbatim reprs), kept for disk-store migration."""
+    if not verbatim:
+        frozen = frozenset(domain_shape)
+        items = [(name, alpha_canonical(formula, frozen)[0]) for name, formula in items]
     payload = "\x00".join(f"{name}\x1f{formula!r}" for name, formula in items)
     payload += "\x00\x00" + "\x00".join(domain_shape)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -81,15 +74,15 @@ class SpecPlan:
     items:
         ``(clause_name, formula)`` pairs, in declaration order.  Names must
         be unique — they address the per-clause roots and verdicts.
-    digest:
-        Precomputed content digest (the cache computes it once for the
-        lookup key); derived from ``items`` when omitted.
+    domain_shape:
+        The names carrying explicit quantification domains.  Given (as the
+        plan cache does), clauses compile in alpha-canonical form with
+        those names frozen; omitted, they compile verbatim.
     """
 
     def __init__(
         self,
         items: Sequence[Tuple[str, Formula]],
-        digest: Optional[str] = None,
         domain_shape: Optional[Tuple[str, ...]] = None,
     ) -> None:
         items = [(name, formula) for name, formula in items]
@@ -97,8 +90,7 @@ class SpecPlan:
             raise ValueError("spec plan clause names must be unique")
         self.sources: Tuple[Tuple[str, Formula], ...] = tuple(items)
         if domain_shape is None:
-            # Direct construction compiles the clauses verbatim (and keys
-            # by verbatim digest), exactly as before alpha-interning.
+            # Direct construction compiles the clauses verbatim.
             canonical = items
             self.alpha_renames: Dict[str, Dict[str, Tuple[str, ...]]] = {}
         else:
@@ -113,12 +105,7 @@ class SpecPlan:
         self.canonical_sources: Tuple[Tuple[str, Formula], ...] = tuple(
             canonical
         )
-        if digest is not None:
-            self.digest = digest
-        elif domain_shape is None:
-            self.digest = legacy_spec_digest(items)
-        else:
-            self.digest = spec_digest(items, domain_shape)
+        self.digest = spec_digest(canonical, domain_shape or (), verbatim=True)
         normalized = [
             (name, normalize(formula)) for name, formula in canonical
         ]
@@ -160,7 +147,7 @@ class SpecPlan:
         shared table size — the sharing the multi-root plan buys.
         """
         separate = 0
-        for _, formula in getattr(self, "canonical_sources", self.sources):
+        for _, formula in self.canonical_sources:
             builder = DagBuilder(dict(self.slot_of))
             builder.add_formula(normalize(formula))
             separate += len(builder.nodes)

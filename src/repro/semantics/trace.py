@@ -61,7 +61,12 @@ class Trace:
     worker handoff ``check_many`` fan-out relies on.
     """
 
-    __slots__ = ("_source", "_store", "_materialized", "_mark_start", "_loop_start", "_length")
+    # ``_bindings`` (set lazily) holds the evaluators and plan states that
+    # sessions bind to this trace, so they live exactly as long as it does.
+    __slots__ = (
+        "_source", "_store", "_materialized", "_mark_start", "_loop_start", "_length",
+        "_bindings", "__weakref__",
+    )
 
     def __init__(
         self,

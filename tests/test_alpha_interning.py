@@ -11,22 +11,23 @@ stream's history.  This module pins both halves:
 - ``formula_digest`` / ``spec_digest`` are alpha-invariant, stable across
   pretty-print round-trips, and still separate structurally different
   formulas;
-- the plan cache interns alpha classes (memory and disk, including the
-  legacy-digest migration path for stores written before interning);
+- the plan cache interns alpha classes (memory and disk), while plans
+  compiled directly keep verbatim digests;
 - pooled plan states are isolated: release/reacquire yields a state that
   answers exactly like a freshly lowered one, and concurrent monitors of
   one family never share memo contents.
 """
 
+import pickle
 import re
 
 import pytest
 
 from repro.api.session import Session
-from repro.compile.cache import PlanCache
+from repro.compile.cache import PLAN_FORMAT, PlanCache
 from repro.compile.normalize import alpha_canonical
-from repro.compile.plan import formula_digest, legacy_formula_digest
-from repro.compile.specplan import legacy_spec_digest, spec_digest
+from repro.compile.plan import CompiledPlan, formula_digest
+from repro.compile.specplan import SpecPlan, spec_digest
 from repro.specs import unreliable_queue_spec
 from repro.syntax import parse_formula, to_ascii
 from repro.syntax.builder import (
@@ -135,7 +136,7 @@ class TestDigests:
         f1 = fifo_clauses("a", "b")["order"]
         f2 = fifo_clauses("u", "v")["order"]
         assert formula_digest(f1) == formula_digest(f2)
-        assert legacy_formula_digest(f1) != legacy_formula_digest(f2)
+        assert CompiledPlan(f1).digest != CompiledPlan(f2).digest
 
     def test_queue_spec_clauses_survive_renaming(self):
         # I1/I2/I3 of the unreliable queue, each against a binder-renamed
@@ -155,7 +156,7 @@ class TestDigests:
         items1 = sorted(fifo_clauses("a", "b").items())
         items2 = sorted(fifo_clauses("x", "y").items())
         assert spec_digest(items1) == spec_digest(items2)
-        assert legacy_spec_digest(items1) != legacy_spec_digest(items2)
+        assert SpecPlan(items1).digest != SpecPlan(items2).digest
         # Clause names address per-clause verdicts: renaming them must
         # change the digest even when the formulas agree.
         renamed_clauses = [("other", items1[0][1])] + items1[1:]
@@ -186,6 +187,9 @@ class TestCacheInterning:
         assert plan1 is plan2
         assert cache.misses == 1
         assert cache.alpha_interned == 1
+        # The plan hashes what it compiled — the alpha-canonical source —
+        # so its digest is the lookup key, not the verbatim digest.
+        assert plan1.digest == formula_digest(f1) != CompiledPlan(f1).digest
 
     def test_spec_plans_intern_alpha_variants(self):
         cache = PlanCache()
@@ -195,28 +199,28 @@ class TestCacheInterning:
         assert plan1 is plan2
         assert cache.alpha_interned == 1
 
-    def test_legacy_disk_entries_migrate(self, tmp_path):
-        # A store written before alpha-interning keys plans by verbatim
-        # repr; the first alpha-aware lookup adopts and re-keys it.
-        f = fifo_clauses("a", "b")["order"]
-        writer = PlanCache(disk_path=str(tmp_path))
-        plan, _ = writer.get(f)
-        legacy = legacy_formula_digest(f, ())
-        plan.digest = legacy
-        writer._disk_store(legacy, plan)
+    def test_format_1_store_entries_are_misses_and_rewritten(self, tmp_path):
+        # A plan stored before the current format (here: one missing the
+        # canonical_sources attribute) must not load; the lookup compiles
+        # afresh and overwrites the file in the current format.
+        items = sorted(fifo_clauses("a", "b").items())
+        digest = spec_digest(items)
+        stale = SpecPlan(items, domain_shape=())
+        del stale.canonical_sources
+        path = tmp_path / f"{digest}.plan"
+        path.write_bytes(pickle.dumps((1, stale)))
 
-        reader = PlanCache(disk_path=str(tmp_path))
-        # Drop the alpha-keyed file so only the legacy entry remains.
-        (tmp_path / f"{formula_digest(f)}.plan").unlink()
-        loaded, from_cache = reader.get(f)
-        assert from_cache
-        assert reader.digest_migrations == 1
-        assert loaded.digest == formula_digest(f)
-        # The migrated entry was rewritten under the new digest: the next
-        # process finds it directly.
-        follower = PlanCache(disk_path=str(tmp_path))
-        _, again = follower.get(f)
-        assert again and follower.digest_migrations == 0
+        cache = PlanCache(disk_path=str(tmp_path))
+        plan, from_cache = cache.get_spec(items)
+        assert not from_cache
+        assert cache.disk_hits == 0 and cache.disk_writes == 1
+        assert plan.shared_node_count() >= 0
+        fmt, stored = pickle.loads(path.read_bytes())
+        assert fmt == PLAN_FORMAT == 2
+        assert stored.digest == digest and stored.canonical_sources
+
+        _, again = PlanCache(disk_path=str(tmp_path)).get_spec(items)
+        assert again
 
 
 def queue_states():
@@ -370,12 +374,5 @@ class TestSessionMetrics:
             for row in snapshot["repro_plan_state_pool_total"]["series"]
         }
         assert pool[("hit",)] == 1
-        gauges = {
-            name: snapshot[name]["series"][0]["value"]
-            for name in (
-                "repro_plan_alpha_interned",
-                "repro_plan_digest_migrations",
-            )
-        }
-        assert gauges["repro_plan_alpha_interned"] >= 1
-        assert gauges["repro_plan_digest_migrations"] == 0
+        interned_gauge = snapshot["repro_plan_alpha_interned"]["series"][0]
+        assert interned_gauge["value"] >= 1

@@ -7,7 +7,9 @@ pre-façade ``Specification.check`` loop, the memo-key and bind-next
 satellites, and the deprecation shims.
 """
 
+import gc
 import warnings
+import weakref
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.api import (
 )
 from repro.checking import ConformanceCase, run_conformance
 from repro.core.bounded_checker import is_bounded_valid
+from repro.core.specification import Specification
 from repro.core.valid_formulas import get
 from repro.errors import EvaluationError
 from repro.lll.semantics import is_satisfiable_bounded
@@ -246,9 +249,9 @@ class TestBatching:
         session = Session()
         trace = make_trace(ROWS)
         session.check("<> x == 2", trace=trace, compile=False)
-        assert session._evaluators
+        assert session.cache_statistics()["evaluators"] == 1
         session.clear_caches()
-        assert not session._evaluators and not session._trace_refs
+        assert session.cache_statistics()["evaluators"] == 0
         assert session.check("<> x == 2", trace=trace).verdict is True
 
     def test_clear_caches_drops_plan_states_and_resets_statistics(self):
@@ -262,13 +265,15 @@ class TestBatching:
         trace = make_trace(ROWS)
         session.check("<> x == 2", trace=trace)          # compiled by default
         session.check("<> x == 2", trace=trace)          # a cache hit
-        session.check_spec(mutex_spec(2), mutex_trace(2, entries=2, seed=0))
-        assert session._plan_states and session._spec_plans
-        before = session.plan_cache.statistics()
+        mutex = mutex_trace(2, entries=2, seed=0)
+        session.check_spec(mutex_spec(2), mutex)
+        before = session.cache_statistics()
+        assert before["plan_states"] == 2
+        assert before["identity_plan_entries"] == 1
         assert before["plan_cache_hits"] > 0 and before["plan_cache_misses"] > 0
         session.clear_caches()
-        assert not session._plan_states
-        assert not session._spec_plans and not session._spec_plan_failures
+        after = session.cache_statistics()
+        assert after["plan_states"] == 0 and after["identity_plan_entries"] == 0
         stats = session.plan_cache.statistics()
         assert stats["plan_cache_size"] == 0
         assert stats["plan_cache_hits"] == 0
@@ -291,6 +296,53 @@ class TestBatching:
         assert default.verdict is True and default.witness is None
         explicit = Session().check("*( x == 2 )", trace=ROWS, extract_model=True)
         assert explicit.witness is not None
+
+
+class TestBindingLifetime:
+    """Shared evaluators and plan states live on their trace: dropping the
+    trace frees them, however long the session lives."""
+
+    @staticmethod
+    def _assert_released(session, check):
+        trace = make_trace(ROWS)
+        result = check(trace)
+        stats = session.cache_statistics()
+        assert stats["plan_states"] + stats["evaluators"] == 1
+        ref = weakref.ref(trace)
+        del trace, result
+        gc.collect()
+        assert ref() is None
+        stats = session.cache_statistics()
+        assert stats["plan_states"] == 0 and stats["evaluators"] == 0
+
+    def test_check_releases_its_plan_state(self):
+        session = Session()
+        self._assert_released(
+            session, lambda trace: session.check("<> x == 2", trace=trace)
+        )
+
+    def test_interpreted_check_releases_its_evaluator(self):
+        session = Session()
+        self._assert_released(
+            session,
+            lambda trace: session.check("<> x == 2", trace=trace, compile=False),
+        )
+
+    def test_check_spec_releases_its_spec_plan_state(self):
+        session = Session()
+        spec = Specification("s").add_axiom("a", parse_formula("<> x == 2"))
+        self._assert_released(session, lambda trace: session.check_spec(spec, trace))
+
+    def test_dropping_the_session_releases_states_on_surviving_traces(self):
+        trace = make_trace(ROWS)
+        session = Session()
+        state, _ = session.plan_state(trace, parse_formula("<> p"))
+        ref = weakref.ref(state)
+        del state, session
+        gc.collect()  # collects the session; its finalizer unbinds the trace
+        gc.collect()  # collects the now-unreferenced state
+        assert ref() is None
+        assert Session().check("<> p", trace=trace).verdict is True
 
 
 class TestConformanceParity:

@@ -134,15 +134,17 @@ class TestPlanCache:
         assert vec.verdict is step.verdict is True
         assert vec.statistics["vector_nodes"] > 0
         assert step.statistics["vector_nodes"] == 0
-        assert len(session._plan_states) == 2
+        assert session.cache_statistics()["plan_states"] == 2
 
     def test_clear_caches_releases_plans_and_states(self):
         session = Session()
         trace = make_trace(ROWS)
         session.check("<> x == 2", trace=trace, mode="compiled")
-        assert len(session.plan_cache) == 1 and session._plan_states
+        assert len(session.plan_cache) == 1
+        assert session.cache_statistics()["plan_states"] == 1
         session.clear_caches()
-        assert len(session.plan_cache) == 0 and not session._plan_states
+        assert len(session.plan_cache) == 0
+        assert session.cache_statistics()["plan_states"] == 0
         assert session.check("<> x == 2", trace=trace, mode="compiled").verdict is True
 
     def test_cache_statistics_on_the_result(self):

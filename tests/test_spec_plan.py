@@ -263,9 +263,9 @@ class TestLRUPlanCache:
         )
         trace = make_trace([{"p": True, "q": False}])
         session.check("<> p", trace=trace)
-        assert len(session._plan_states) == 1
+        assert session.cache_statistics()["plan_states"] == 1
         session.check("<> q", trace=trace)  # evicts the <> p plan
-        assert len(session._plan_states) == 1
+        assert session.cache_statistics()["plan_states"] == 1
         assert session.plan_cache.evictions == 1
 
     def test_spec_identity_cache_is_bounded_and_follows_evictions(self):
@@ -284,10 +284,9 @@ class TestLRUPlanCache:
         for spec in specs:
             session.check_spec(spec, make_trace([{"p": True, "x": 1}]))
         # Identity entries follow the LRU: only the plans still cached stay.
-        assert len(session._spec_plans) <= 2
-        assert session.plan_cache.evictions == 4
-        # A capacity's worth of distinct specs never exceeds the bound.
-        assert len(session._spec_plans) <= session._SPEC_PLAN_IDENTITY_CAPACITY
+        stats = session.cache_statistics()
+        assert stats["identity_plan_entries"] <= 2
+        assert stats["plan_cache_evictions"] == 4
 
     def test_spec_compile_failure_is_negative_cached(self, monkeypatch):
         session = Session()
@@ -304,6 +303,16 @@ class TestLRUPlanCache:
         assert calls["n"] == 1  # the failed compilation is not re-paid
         assert [(v.clause.name, v.holds) for v in first.verdicts] == \
                [(v.clause.name, v.holds) for v in second.verdicts]
+
+        # Streaming specs that cannot lower keeps the failure entries in
+        # the bounded identity LRU, not in an ever-growing set.
+        small = make_trace([{"p": True}])
+        for i in range(80):
+            session.check_spec(
+                Specification(f"s{i}").add_axiom("a", parse_formula("<> p")), small
+            )
+        assert calls["n"] == 81
+        assert session.cache_statistics()["identity_plan_entries"] <= 64
 
     def test_spec_plans_share_the_lru(self):
         cache = PlanCache()
