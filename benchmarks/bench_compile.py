@@ -145,15 +145,14 @@ def test_monitor_step_latency_vs_prefix_length(benchmark):
 
 
 def test_comparison_atom_index_speedup(benchmark):
-    """Comparison atoms (``x == c``) bisect a shared value column.
+    """Comparison atoms (``x == c``) bisect a per-state endpoint index.
 
-    Many constants compared against the same state variable derive their
-    truth profiles from one :class:`~repro.compile.runtime.ValueColumn`,
-    and every ``[x == c]`` event search bisects precomputed change
-    positions — the compiled path must beat interpreting the raw AST with
+    Every ``[x == c]`` event search bisects the precomputed change
+    positions of one :class:`~repro.compile.runtime.EventIndex` per
+    constant — the compiled path must beat interpreting the raw AST with
     a fresh evaluator per call by the same >= 2x bar as the boolean events.
     """
-    from repro.compile import ComparisonIndex, compile_formula
+    from repro.compile import compile_formula
 
     trace = Trace([State({"x": i % 7, "p": True}) for i in range(120)])
     formulas = [parse_formula(f"[] ([x == {c}] (p \\/ x != {c}))")
@@ -170,25 +169,16 @@ def test_comparison_atom_index_speedup(benchmark):
             interp_s += time.perf_counter() - started
         compiled_s = 0.0
         compiled_verdicts = []
-        states = []
         for formula in formulas:
             started = time.perf_counter()
-            # vectorize=False pins the shared-ValueColumn machinery this
+            # vectorize=False pins the per-state index path this
             # benchmark is about; the default kernel path has its own
             # benchmark in bench_columnar.py.
             state = compile_formula(formula).evaluator(trace, vectorize=False)
             for _ in range(30):
                 compiled_verdicts.append(state.satisfies())
             compiled_s += time.perf_counter() - started
-            states.append(state)
         assert compiled_verdicts == interp_verdicts
-        # The indexes actually in play: shared column, comparison indexes.
-        assert all(len(state._columns) == 1 for state in states)
-        assert all(
-            any(isinstance(ix, ComparisonIndex)
-                for ix in state._shared_indexes.values())
-            for state in states
-        )
         return {
             "constants": len(formulas),
             "interpret_ms": interp_s * 1000.0,

@@ -395,7 +395,7 @@ class Monitor:
         entries are tail-independent, so appending any number of states
         before the single re-evaluation invalidates exactly the volatile
         entries that :meth:`~repro.compile.specplan.SpecPlanState.note_append`
-        clears (one sweep per batch), and the tail kernel extends its
+        clears (one sweep per batch), and the bitset kernel extends its
         profiles over the whole appended window in one vectorized pass.
         Verdict histories and ``on_change`` callbacks see one entry per
         *batch* — send batches of one for per-state granularity.

@@ -30,18 +30,21 @@ stage                     paper anchor
                           slots/memo/indexes, replacing the per-call
                           opcode chain
 :mod:`.vector`            :class:`BitsetKernel` — the vectorized binding
-                          mode over column-major traces: state formulas
-                          (and ``[]/<>`` directly over them) evaluate as
-                          whole-column packed-int bitset operations, and
-                          event change positions derive from bitset shifts
+                          mode over column-major traces, static or
+                          growing: state formulas (and ``[]/<>`` directly
+                          over them) evaluate as packed-int bitset
+                          operations whose profiles extend per appended
+                          window, and event change positions derive from
+                          bitset shifts
 :mod:`.runtime`           :class:`PlanState` — the Chapter 3 satisfaction
-                          relation over slot-addressed environments, with
-                          an interval-endpoint index over state-change
-                          events so the construction function ``F``
-                          (Chapter 3) bisects changesets instead of
-                          scanning, and incremental plan states absorbing
-                          one appended state in amortized O(changed work)
-                          for the finite-computation convention monitors
+                          relation over slot-addressed environments; the
+                          construction function ``F`` (Chapter 3) finds
+                          each changeset endpoint through an
+                          :class:`EventIndex` (kernel-built or per-state)
+                          or, failing that, a scan, and incremental plan
+                          states absorb appended states in amortized
+                          O(changed work) for the finite-computation
+                          convention monitors
 :mod:`.cache`             :class:`PlanCache` — the session-level
                           digest-keyed bounded LRU (single- and multi-root
                           plans, hit/miss/eviction stats) behind the
@@ -73,12 +76,10 @@ from .normalize import normalize, structural_key
 from .plan import CompiledPlan, compile_formula, formula_digest
 from .runtime import (
     UNSET,
-    ComparisonIndex,
     EventIndex,
     GrowingPrefix,
     PlanState,
     PlanStats,
-    ValueColumn,
 )
 from .specplan import (
     ClauseOutcome,
@@ -112,8 +113,6 @@ __all__ = [
     "PlanStats",
     "GrowingPrefix",
     "EventIndex",
-    "ValueColumn",
-    "ComparisonIndex",
     "UNSET",
     "BitsetKernel",
     "bit_positions",

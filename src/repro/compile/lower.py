@@ -52,6 +52,7 @@ from .dag import (
     T_EVENT,
     T_FORWARD,
 )
+from .vector import _mask_range
 
 __all__ = ["bind_dispatch"]
 
@@ -264,12 +265,6 @@ def _vectorized(state, kernel, node, fallback):
     return None
 
 
-def _mask_range(lo: int, hi: int) -> int:
-    if lo > hi:
-        return 0
-    return (1 << hi) - (1 << (lo - 1))
-
-
 class _ExactConstruct(Exception):
     """A fused term closure met a dead/unusable profile: the caller must
     rerun the whole construction on the generic (memoized, exact-error)
@@ -279,19 +274,23 @@ class _ExactConstruct(Exception):
 def _compile_term_bits(state, kernel, tid, direction):
     """Compile interval term ``tid`` to a closure ``(i, j) -> Interval|⊥``.
 
-    The closure computes ``F(term, <i, j>)`` straight from tail-kernel
-    change profiles — the whole ``_construct_interval`` →  ``_construct``
-    → ``_find_event`` recursion collapsed to bit arithmetic at lowering
-    time, with the direction of every event search resolved statically
-    (it only depends on the term's shape).  Returns ``None`` when some
-    event leaf is not kernel-vectorizable; raises :class:`_ExactConstruct`
-    at *call* time when a profile has died (unusable column, erroring
-    comparison), so the caller falls back to the generic exact path whose
+    The closure computes ``F(term, <i, j>)`` straight from the kernel's
+    growing-prefix profiles — the whole ``_construct_interval`` →
+    ``_construct`` → ``_find_event`` recursion collapsed to bit arithmetic
+    at lowering time, with the direction of every event search resolved
+    statically (it only depends on the term's shape).  This is the one bit
+    search of event endpoints on a growing prefix.  Returns ``None`` when
+    some event leaf is not kernel-vectorizable; raises
+    :class:`_ExactConstruct` at *call* time when a profile has died
+    (unusable column, erroring comparison, cardinality cap), so the caller
+    falls back to the generic exact path (``EventIndex`` or scan) whose
     lazy per-position errors the fused path cannot reproduce.
 
-    Tail-marking mirrors ``PlanState._find_event_bits`` exactly: a forward
-    search that found nothing inside the concrete prefix, and every
-    backward search over an infinite context, mark the caller's frame
+    A profile covers the concrete positions ``1..length``; the stutter
+    tail repeats the last state, so no change position exists past them.
+    Tail-marking mirrors ``PlanState._find_event_indexed`` on a growing
+    index: a forward search that found nothing inside the concrete prefix,
+    and every backward search reaching past it, mark the caller's frame
     tail-dependent.
     """
     term = state._terms[tid]
@@ -438,7 +437,7 @@ def _compile_term_bits(state, kernel, tid, direction):
 
 
 def _vectorized_incremental(state, kernel, node, fallback):
-    """The tail-kernel binding of ``node`` on a growing prefix, or ``None``.
+    """The kernel binding of ``node`` on a growing prefix, or ``None``.
 
     Same two shapes as :func:`_vectorized`, but over profiles that only
     cover the *concrete* states observed so far.  ``_holds`` skips both
@@ -459,25 +458,24 @@ def _vectorized_incremental(state, kernel, node, fallback):
     trace = state._trace
     normalize = state._normalize_ctx
     mark_tail = state._mark_tail
+    profile = kernel.profile
     if node.is_state:
         if not kernel.supports(node.id):
             return None
-        holds_at = kernel.holds_at
 
         def run(lo, hi):
             if lo > trace.length:
                 mark_tail()
                 lo, hi = normalize(lo, hi)
-            verdict = holds_at(node, lo)
-            if verdict is None:
+            bits = profile(node)
+            if bits is None:
                 return fallback(lo, hi)
-            return verdict
+            return bool((bits >> (lo - 1)) & 1)
         return run
     if node.op in (N_ALWAYS, N_EVENTUALLY):
         child = state._nodes[node.a]
         if not (child.is_state and kernel.supports(child.id)):
             return None
-        profile = kernel.profile
         want = node.op == N_EVENTUALLY
 
         def run(lo, hi):
@@ -553,17 +551,17 @@ def bind_dispatch(state) -> Tuple[Tuple[Callable[[int, object], bool], ...], fro
     kernel = state._kernel
     vectorize = _vectorized_incremental if state._incremental else _vectorized
     # Which nodes accept the vectorized mode is a property of the plan's
-    # shapes, not of the particular trace, so the first binding records a
-    # recipe on the plan and later bindings (every pooled stream of a serve
-    # fleet) skip the doomed vectorization attempts instead of re-probing
-    # every node.  Nodes *in* the recipe still call ``vectorize`` — the
-    # closures must capture this state's kernel — and a node that fails
-    # where the recipe succeeded simply stays on the per-position path
-    # (verdicts are identical either way).
+    # shapes and the binding mode, not of the particular trace, so the
+    # first binding records a recipe on the plan and later bindings (every
+    # pooled stream of a serve fleet) skip the doomed vectorization
+    # attempts instead of re-probing every node.  Nodes *in* the recipe
+    # still call ``vectorize`` — the closures must capture this state's
+    # kernel — and a node that fails where the recipe succeeded simply
+    # stays on the per-position path (verdicts are identical either way).
     recipe = None
     recipe_key = None
     if kernel is not None:
-        recipe_key = (type(kernel).__name__, bool(state._incremental))
+        recipe_key = bool(state._incremental)
         recipe = getattr(plan, "_lowering_recipes", {}).get(recipe_key)
     ops: List[Callable] = []
     vector_ids: List[int] = []

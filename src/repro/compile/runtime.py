@@ -46,7 +46,7 @@ from ..semantics.construction import BOTTOM, Direction, Interval
 from ..semantics.state import State
 from ..semantics.trace import INFINITY, Trace
 from ..syntax.terms import Cmp, Const, LogicalVar, OpAfter, OpAt, OpIn, Var
-from .vector import BitsetKernel, TailKernel, changes_from_bits
+from .vector import BitsetKernel, changes_from_bits
 from .dag import (
     N_AND,
     N_ATOM,
@@ -69,8 +69,6 @@ __all__ = [
     "DEFAULT_FORALL_UNROLL_CAP",
     "GrowingPrefix",
     "EventIndex",
-    "ValueColumn",
-    "ComparisonIndex",
     "PlanStats",
     "PlanState",
 ]
@@ -117,7 +115,7 @@ class GrowingPrefix:
         # plans with no quantifier never pay for it.
         self._universe_built_to = 0
         # Lazy incremental column store (built on first `columns` access,
-        # then caught up per append): the tail-window kernel's substrate.
+        # then caught up per append): the bitset kernel's substrate.
         self._column_store: Optional[IncrementalColumnStore] = None
 
     def append(self, state: State) -> None:
@@ -211,8 +209,8 @@ class GrowingPrefix:
 
         Built on first access (per-append absorption costs nothing until a
         vectorized plan state actually reads columns), then extended one
-        state at a time — the substrate the tail-window
-        :class:`~repro.compile.vector.TailKernel` extends its truth
+        state at a time — the substrate the
+        :class:`~repro.compile.vector.BitsetKernel` extends its truth
         profiles over.
         """
         store = self._column_store
@@ -227,7 +225,7 @@ class GrowingPrefix:
         """Forget every observed state (plan-state pool reuse).
 
         Containers are cleared *in place*, never replaced — the lowered
-        closures and the tail kernel capture this exact object.
+        closures and the bitset kernel capture this exact object.
         """
         self._states.clear()
         self._universe.clear()
@@ -332,64 +330,6 @@ class EventIndex:
         return None
 
 
-class ValueColumn:
-    """Per-position values of one state variable, shared by comparison atoms.
-
-    Every ``x == c`` / ``x != c`` event over the same variable ``x`` derives
-    its truth profile from one column of ``x``'s values, so a specification
-    comparing ``x`` against many constants reads each state exactly once
-    instead of once per constant.  The column extends incrementally with the
-    trace, like the indexes built on top of it.
-    """
-
-    __slots__ = ("name", "values", "built_to")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.values: List[Any] = []
-        self.built_to = 0
-
-    def ensure(self, trace) -> None:
-        """Extend the column to the trace's length (exceptions propagate:
-        the owning index turns them into its permanent scan fallback).
-
-        ``built_to`` advances one position at a time so a raising state
-        leaves the column consistent for the other indexes sharing it.
-        """
-        n = trace.length
-        name = self.name
-        while self.built_to < n:
-            value = trace.state_at(self.built_to + 1)[name]
-            self.values.append(value)
-            self.built_to += 1
-
-
-class ComparisonIndex(EventIndex):
-    """An endpoint index for ``x == c`` / ``x != c`` comparison atoms.
-
-    Same bisectable stem/cycle change lists as :class:`EventIndex`, but the
-    truth profile is derived from a shared :class:`ValueColumn` instead of
-    re-evaluating the comparison predicate (state lookup, expression
-    evaluation, operator dispatch) per state per constant.
-    """
-
-    __slots__ = ("_column", "_cmp_op", "_constant")
-
-    def __init__(self, column: ValueColumn, cmp_op: str, constant: Any) -> None:
-        super().__init__(state_eval=None)
-        self._column = column
-        self._cmp_op = cmp_op
-        self._constant = constant
-
-    def _truth_range(self, trace, start: int, stop: int) -> List[bool]:
-        self._column.ensure(trace)
-        values = self._column.values
-        constant = self._constant
-        if self._cmp_op == "==":
-            return [bool(values[pos - 1] == constant) for pos in range(start, stop + 1)]
-        return [bool(values[pos - 1] != constant) for pos in range(start, stop + 1)]
-
-
 class PlanStats:
     """Work counters of one plan state (the monitor regression hooks).
 
@@ -433,14 +373,14 @@ class PlanState:
     vectorize:
         Enable the vectorized binding mode: pure state formulas (and
         ``[] / <>`` directly over them) evaluate as whole-column bitset
-        operations through a :class:`~repro.compile.vector.BitsetKernel`
-        (static :class:`~repro.semantics.trace.Trace`) or a window-extended
-        :class:`~repro.compile.vector.TailKernel` (incremental
-        :class:`GrowingPrefix`), and state-formula event indexes derive
-        their change positions from bitset shifts.  Verdicts and error
-        behaviour are identical either way — the kernels fall back per
-        node whenever they cannot reproduce the per-position semantics
-        bit-for-bit.
+        operations through a :class:`~repro.compile.vector.BitsetKernel`,
+        whose profiles cover a static
+        :class:`~repro.semantics.trace.Trace` at once and extend per
+        appended window on an incremental :class:`GrowingPrefix`; event
+        searches derive their change positions from bitset shifts.
+        Verdicts and error behaviour are identical either way — the kernel
+        falls back per node whenever it cannot reproduce the per-position
+        semantics bit-for-bit.
     forall_unroll_cap:
         ``Forall`` nodes whose variables all carry *explicit* domains with
         at most this many bindings in total unroll at lowering time into a
@@ -473,7 +413,6 @@ class PlanState:
         self._agg: Dict[Any, int] = {}
         self._indexes: Dict[Any, EventIndex] = {}
         self._shared_indexes: Dict[Any, EventIndex] = {}
-        self._columns: Dict[str, ValueColumn] = {}
         #: Event-search memo (static traces only): clauses of a multi-root
         #: plan that share an interval term — the mutex A1 family all
         #: searching the same ``x(i) <= cs(i)`` events — resolve each
@@ -492,15 +431,12 @@ class PlanState:
             forall_unroll_cap = DEFAULT_FORALL_UNROLL_CAP
         self._forall_unroll_cap = max(0, int(forall_unroll_cap))
         self.stats = PlanStats()
-        # The bitset kernels evaluate state formulas columnwise: whole-trace
+        # The bitset kernel evaluates state formulas columnwise: whole-trace
         # profiles on a static Trace, window-extended profiles on a growing
         # prefix (the batched tail-window vectorization).
-        self._kernel: Optional[Any] = None
-        if vectorize:
-            if not incremental and isinstance(trace, Trace):
-                self._kernel = BitsetKernel(self, trace)
-            elif incremental and isinstance(trace, GrowingPrefix):
-                self._kernel = TailKernel(self, trace)
+        self._kernel: Optional[BitsetKernel] = None
+        if vectorize and isinstance(trace, GrowingPrefix if incremental else Trace):
+            self._kernel = BitsetKernel(self, trace)
         # Closure-lowered dispatch: one bound closure per plan node, built
         # once per state (see repro.compile.lower).
         from .lower import bind_dispatch
@@ -588,8 +524,8 @@ class PlanState:
         One call absorbs an arbitrarily large appended window — the
         stable memo holds tail-*independent* entries only, so the
         volatile/aggregator state cleared here is exactly what any number
-        of new states could change, and the tail kernel's profiles (which
-        only ever extend) are untouched.  Batched appends therefore pay
+        of new states could change, and the kernel's profiles (which only
+        ever extend) are untouched.  Batched appends therefore pay
         one memo sweep per batch, not per state.
         """
         self._volatile.clear()
@@ -616,7 +552,6 @@ class PlanState:
         self._agg.clear()
         self._indexes.clear()
         self._shared_indexes.clear()
-        self._columns.clear()
         self._event_memo.clear()
         self._construct_memo.clear()
         self._volatile_events.clear()
@@ -625,11 +560,8 @@ class PlanState:
         self.stats.__init__()
         if isinstance(self._trace, GrowingPrefix):
             self._trace.reset()
-        kernel = self._kernel
-        if kernel is not None:
-            kernel_reset = getattr(kernel, "reset", None)
-            if kernel_reset is not None:
-                kernel_reset()
+        if self._kernel is not None:
+            self._kernel.reset()
 
     # -- the satisfaction relation ------------------------------------------
 
@@ -1029,12 +961,12 @@ class PlanState:
         return not deciding
 
     def _comparison_parts(self, node) -> Optional[Tuple[str, str, Any]]:
-        """``(variable, op, constant)`` for an indexable comparison atom.
+        """``(variable, op, constant)`` for a groundable comparison atom.
 
         Recognizes ``x == c`` / ``x != c`` (either orientation) where one
         side is a state variable and the other a literal constant or a
-        *bound* logical variable; anything else falls back to the generic
-        event index.
+        *bound* logical variable — the semantic part of
+        :meth:`_index_key`; anything else keys structurally.
         """
         if node.op != N_ATOM:
             return None
@@ -1091,9 +1023,9 @@ class PlanState:
         kernel: one profile computation and one shift-and-mask instead of a
         per-state truth scan.  ``None`` when the kernel is absent
         (``vectorize=False``) or declines the event formula.  Static traces
-        only — on a growing prefix, kernel-supported events are answered
-        straight off the tail profile by :meth:`_find_event_bits`, with no
-        index object at all."""
+        only — on a growing prefix, kernel-supported events are searched by
+        the fused term closures of :mod:`repro.compile.lower`, and a term
+        they decline takes the exact per-state index or scan."""
         kernel = self._kernel
         if kernel is None or self._incremental or not kernel.supports(event_nid):
             return None
@@ -1125,19 +1057,10 @@ class PlanState:
             if index is None:
                 index = self._kernel_index(event_nid, node)
             if index is None:
-                parts = self._comparison_parts(node)
-                if parts is not None:
-                    variable, cmp_op, constant = parts
-                    column = self._columns.get(variable)
-                    if column is None:
-                        column = ValueColumn(variable)
-                        self._columns[variable] = column
-                    index = ComparisonIndex(column, cmp_op, constant)
-                else:
-                    env = self._env_view(node)
-                    index = EventIndex(
-                        lambda state: self._state_truth(event_nid, state, env)
-                    )
+                env = self._env_view(node)
+                index = EventIndex(
+                    lambda state: self._state_truth(event_nid, state, env)
+                )
             self._shared_indexes[shared_key] = index
             self._indexes[fast_key] = index
         if not index.ensure(self._trace, self._incremental):
@@ -1167,20 +1090,6 @@ class PlanState:
             return BOTTOM
         i, j = context.lo, context.hi
         node = self._nodes[event_nid]
-        if self._incremental and node.is_state:
-            kernel = self._kernel
-            if kernel is not None and kernel.supports(event_nid):
-                bits = kernel.profile(node)
-                if bits is not None:
-                    # Growing prefix, vectorizable event: the bit search is
-                    # cheaper than this memo's key build, so answer directly
-                    # (tail-marking happens inside, straight onto the
-                    # caller's frame).  A dead profile falls through to the
-                    # memoized exact search.
-                    self.stats.event_searches += 1
-                    return self._find_event_bits(
-                        bits, i, j, self._trace.scan_bound(i, j), direction
-                    )
         key: Optional[Tuple[Any, ...]] = None
         try:
             envkey = tuple(self._slots[s] for s in node.free_slots)
@@ -1220,53 +1129,10 @@ class PlanState:
         trace = self._trace
         bound = trace.scan_bound(i, j)
         if node.is_state:
-            # Growing-prefix vectorizable events answered directly in
-            # :meth:`_find_event` (the tail-profile bit search); reaching
-            # here means a static trace, an unsupported shape, or a dead
-            # profile — the index/scan paths decide.
             index = self._index_for(event_nid, node)
             if index is not None:
                 return self._find_event_indexed(index, i, j, bound, direction)
         return self._find_event_scan(event_nid, i, j, bound, direction)
-
-    def _find_event_bits(
-        self, bits: int, i: int, j: Position, bound: int, direction: str
-    ):
-        """The changeset search as bit arithmetic over a tail profile.
-
-        ``bits`` covers the concrete positions ``1..length`` of a growing
-        prefix; its stutter tail repeats the last state, so no change
-        position exists past the concrete states (in particular the
-        backward search's recurs-forever ⊥ case cannot arise) and the
-        tail-marking mirrors :meth:`_find_event_indexed` on a growing
-        index exactly.
-        """
-        n = self._trace.length
-        # bit k-1 set iff positions (k-1, k) are a False→True change;
-        # `| 1` excludes k = 1 (no predecessor).
-        chg = bits & ~((bits << 1) | 1)
-        lo = i + 1
-        hi = bound if bound < n else n
-        if hi < lo:
-            window = 0
-        else:
-            window = (chg >> (lo - 1)) & ((1 << (hi - lo + 1)) - 1)
-        if direction == Direction.FORWARD:
-            if not window:
-                if bound > n:
-                    self._mark_tail()  # no event yet; one may still appear
-                return BOTTOM
-            k = lo + ((window & -window).bit_length() - 1)
-            return Interval(k - 1, k)
-        if j == INFINITY:
-            # The changeset max can move (or appear) as the prefix grows.
-            self._mark_tail()
-        elif bound > n:
-            self._mark_tail()
-        if not window:
-            return BOTTOM
-        k = lo + window.bit_length() - 1
-        return Interval(k - 1, k)
 
     def _find_event_indexed(
         self, index: EventIndex, i: int, j: Position, bound: int, direction: str

@@ -21,19 +21,20 @@ pass over the source states:
 * the trace's observed value universe, deduplicated through a set during
   the same pass (replacing the quadratic ``value not in seen`` list scan).
 
-Columns expose packed-int **bitsets** (bit ``c`` = concrete position
-``c + 1``): per-code membership, truthiness, comparisons against a
-constant, and operation phase/argument matches all answer as one big
-integer, which is what :mod:`repro.compile.vector` evaluates whole state
-formulas on.  Bitset construction goes through per-code ``bytearray``
-buffers so cost stays O(n + codes·n/8) rather than O(n²/wordsize) of
-repeated big-int shifting.
+Each column owns one packed-int **bitset** per code (bit ``c`` = concrete
+position ``c + 1``), extended in place as the column grows; operation
+columns also group their codes by argument tuple.  Truthiness,
+comparisons against a constant and operation phase/argument matches then
+answer as an OR of per-code bitsets, which is what
+:mod:`repro.compile.vector` evaluates whole state formulas on.  Bitset
+construction goes through per-code ``bytearray`` buffers so cost stays
+O(n + codes·n/8) rather than O(n²/wordsize) of repeated big-int shifting.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .state import OperationRecord, State
 
@@ -55,6 +56,11 @@ ABSENT = -1
 #: endpoint indexes.  Kernels treat a ``None`` bitset table as "fall back".
 _MAX_BITSET_CODES = 1024
 _MAX_BITSET_BYTES = 8_000_000
+
+#: Bitset extensions over at most this many positions (a monitored
+#: stream's append) set their bits in place; longer ones go through
+#: per-code buffers.
+_SHIFT_WINDOW = 64
 
 
 def _intern(
@@ -88,31 +94,38 @@ def _intern(
     return code
 
 
-def _codes_to_bitsets(codes: "array", count: int) -> Optional[List[int]]:
-    """One bitset per code: bit ``i`` set in ``out[c]`` iff ``codes[i] == c``."""
-    n = len(codes)
-    nbytes = (n + 7) >> 3
-    if count > _MAX_BITSET_CODES or count * nbytes > _MAX_BITSET_BYTES:
-        return None
+def _window_bitsets(codes: "array", start: int, stop: int, count: int) -> List[int]:
+    """One bitset per code of the window ``codes[start:stop]`` (bit 0 =
+    position ``start``), built in one pass through per-code ``bytearray``
+    buffers — O(window + count · window/8) rather than the
+    O(window²/wordsize) of shifting one big int per position."""
+    nbytes = (stop - start + 7) >> 3
     buffers = [bytearray(nbytes) for _ in range(count)]
-    for i, code in enumerate(codes):
+    for i, code in enumerate(codes[start:stop]):
         if code >= 0:
             buffers[code][i >> 3] |= 1 << (i & 7)
     return [int.from_bytes(buffer, "little") for buffer in buffers]
 
 
 class _ColumnBase:
-    """Shared dictionary-encoded storage of one column."""
+    """Shared dictionary-encoded storage of one column.
 
-    __slots__ = ("name", "codes", "values", "missing", "_bitsets", "_present")
+    The column owns its per-code position bitsets (bit ``c`` = concrete
+    position ``c + 1``), extended in place as the column grows: a static
+    trace's column builds them once, a growing prefix's column extends them
+    over each appended window.  Past the cardinality cap the table is
+    dropped for good and :meth:`code_bitsets` answers ``None``.
+    """
+
+    __slots__ = ("name", "codes", "values", "missing", "_bitsets", "_bits_to")
 
     def __init__(self, name: str, prefix_length: int = 0) -> None:
         self.name = name
         self.codes: "array" = array("l", [ABSENT]) * prefix_length
         self.values: List[Any] = []
         self.missing = prefix_length > 0
-        self._bitsets: Optional[List[int]] = None
-        self._present: Optional[int] = None
+        self._bitsets: Optional[List[int]] = []
+        self._bits_to = 0
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -124,50 +137,39 @@ class _ColumnBase:
             return False, None
         return True, self.values[code]
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.codes)) - 1
-
     def code_bitsets(self) -> Optional[List[int]]:
-        """Per-code position bitsets, or ``None`` above the cardinality cap."""
-        if self._bitsets is None:
-            self._bitsets = _codes_to_bitsets(self.codes, len(self.values))
-        return self._bitsets
-
-    def present_bits(self) -> int:
-        """Bitset of positions where the column binds a value."""
-        if self._present is None:
-            if not self.missing:
-                self._present = self.full_mask
-            else:
-                buffer = bytearray((len(self.codes) + 7) >> 3)
-                for i, code in enumerate(self.codes):
-                    if code >= 0:
-                        buffer[i >> 3] |= 1 << (i & 7)
-                self._present = int.from_bytes(buffer, "little")
-        return self._present
+        """Per-code position bitsets up to the column's length, or ``None``
+        above the cardinality cap.  Extends over the positions appended
+        since the last call: O(window + touched codes) for a short window."""
+        bitsets = self._bitsets
+        start = self._bits_to
+        stop = len(self.codes)
+        if start == stop or bitsets is None:
+            return bitsets
+        count = len(self.values)
+        if count > _MAX_BITSET_CODES or count * ((stop + 7) >> 3) > _MAX_BITSET_BYTES:
+            # Over the cap for good: a column only grows.
+            self._bitsets = None
+            return None
+        if count > len(bitsets):
+            bitsets.extend([0] * (count - len(bitsets)))
+        if stop - start <= _SHIFT_WINDOW:
+            codes = self.codes
+            for i in range(start, stop):
+                code = codes[i]
+                if code >= 0:
+                    bitsets[code] |= 1 << i
+        else:
+            for code, bits in enumerate(_window_bitsets(self.codes, start, stop, count)):
+                if bits:
+                    bitsets[code] |= bits << start
+        self._bits_to = stop
+        return bitsets
 
     def pad(self) -> None:
         """Mark the next position as not binding this column."""
         self.codes.append(ABSENT)
         self.missing = True
-
-    def select_bits(self, test: Callable[[Any], bool]) -> Optional[int]:
-        """Bitset of positions whose *value* satisfies ``test``.
-
-        ``test`` runs once per **distinct** value (the entire point of the
-        dictionary encoding); its exceptions propagate so callers can fall
-        back to per-position evaluation with identical error behaviour.
-        Returns ``None`` above the per-code bitset cardinality cap.
-        """
-        bitsets = self.code_bitsets()
-        if bitsets is None:
-            return None
-        out = 0
-        for code, value in enumerate(self.values):
-            if test(value):
-                out |= bitsets[code]
-        return out
 
 
 class Column(_ColumnBase):
@@ -186,46 +188,78 @@ class OperationColumn(_ColumnBase):
     an ``operations`` mapping treats a missing record as idle).
     """
 
-    __slots__ = ()
+    __slots__ = ("_by_args", "_args_to")
 
-    def phase_bits(self, phases: Sequence[str]) -> Optional[int]:
-        return self.select_bits(lambda record: record.phase in phases)
+    def __init__(self, name: str, prefix_length: int = 0) -> None:
+        super().__init__(name, prefix_length)
+        self._by_args: Optional[Dict[Any, List[int]]] = {}
+        self._args_to = 0
 
-    def call_bits(self, phases: Sequence[str], arg_values: Sequence[Any]) -> Optional[int]:
-        """Positions whose record matches both the phase set and the
-        evaluated argument tuple, with the elementwise ``!=`` convention of
-        :func:`repro.syntax.terms._args_match`."""
+    def codes_by_args(self) -> Optional[Dict[Any, List[int]]]:
+        """The column's codes grouped by their record's ``args`` tuple,
+        extended as new records are interned; ``None`` (permanently) once
+        some argument tuple is unhashable."""
+        by_args = self._by_args
+        if by_args is not None and self._args_to < len(self.values):
+            values = self.values
+            try:
+                for code in range(self._args_to, len(values)):
+                    by_args.setdefault(values[code].args, []).append(code)
+            except TypeError:
+                self._by_args = None
+                return None
+            self._args_to = len(values)
+        return by_args
 
-        def test(record: OperationRecord) -> bool:
-            if record.phase not in phases:
-                return False
-            actual = record.args
-            if len(arg_values) != len(actual):
-                return False
-            return not any(expected != value for expected, value in zip(arg_values, actual))
 
-        return self.select_bits(test)
+def _absorb_row(
+    index: int,
+    state: State,
+    columns: Dict[str, Column],
+    interns: Dict[str, Tuple[Dict[Any, int], List[int]]],
+    op_columns: Dict[str, OperationColumn],
+    op_interns: Dict[str, Tuple[Dict[Any, int], List[int]]],
+) -> None:
+    """Append state ``index``'s values and operations to every column,
+    padding the columns it does not bind with ``ABSENT``."""
+    for name, value in state.raw_values.items():
+        column = columns.get(name)
+        if column is None:
+            column = columns[name] = Column(name, prefix_length=index)
+            interns[name] = ({}, [])
+        code_of, unhashable = interns[name]
+        column.append(value, code_of, unhashable)
+    for name, record in state.raw_operations.items():
+        op_column = op_columns.get(name)
+        if op_column is None:
+            op_column = op_columns[name] = OperationColumn(name, prefix_length=index)
+            op_interns[name] = ({}, [])
+        code_of, unhashable = op_interns[name]
+        op_column.codes.append(_intern(record, op_column.values, code_of, unhashable))
+    filled = index + 1
+    for column in columns.values():
+        if len(column.codes) < filled:
+            column.pad()
+    for op_column in op_columns.values():
+        if len(op_column.codes) < filled:
+            op_column.pad()
 
 
 class IncrementalColumnStore:
     """The column-major form of a *growing* state prefix, fed one state at
     a time.
 
-    The per-state twin of :class:`ColumnStore`: the incremental monitors'
+    The per-state twin of :class:`ColumnStore` (both absorb rows through
+    one helper): the incremental monitors'
     :class:`~repro.compile.runtime.GrowingPrefix` absorbs each appended
     state into the same dictionary-encoded :class:`Column` /
-    :class:`OperationColumn` objects (``ABSENT`` padding included), so the
-    tail-window bitset kernel (:class:`~repro.compile.vector.TailKernel`)
-    can extend its truth profiles over just the appended window.  No
-    ``__start__`` marking happens here — ``GrowingPrefix.append`` injects
-    it into the state rows before they arrive.
-
-    The whole-column bitset caches of :class:`_ColumnBase`
-    (``code_bitsets``/``present_bits``/``select_bits``) are *not* meant to
-    be used on these columns: they snapshot a growing column and would go
-    stale on the next absorb.  The incremental kernel keeps its own
-    window-extended bitsets instead, reading only ``codes`` and
-    ``values``.
+    :class:`OperationColumn` objects (``ABSENT`` padding included).  Each
+    column's per-code bitsets extend over just the appended window on the
+    next :meth:`~_ColumnBase.code_bitsets` call, so the bitset kernel
+    (:class:`~repro.compile.vector.BitsetKernel`) reads a growing column
+    exactly as it reads a static one.  No ``__start__`` marking happens
+    here — ``GrowingPrefix.append`` injects it into the state rows before
+    they arrive.
     """
 
     __slots__ = ("length", "_columns", "_op_columns", "_interns", "_op_interns")
@@ -239,33 +273,11 @@ class IncrementalColumnStore:
 
     def absorb(self, state: State) -> None:
         """Append one state's values/operations to every column (padded)."""
-        index = self.length
-        for name, value in state.raw_values.items():
-            column = self._columns.get(name)
-            if column is None:
-                column = self._columns[name] = Column(name, prefix_length=index)
-                self._interns[name] = ({}, [])
-            code_of, unhashable = self._interns[name]
-            column.append(value, code_of, unhashable)
-        for name, record in state.raw_operations.items():
-            op_column = self._op_columns.get(name)
-            if op_column is None:
-                op_column = self._op_columns[name] = OperationColumn(
-                    name, prefix_length=index
-                )
-                self._op_interns[name] = ({}, [])
-            code_of, unhashable = self._op_interns[name]
-            op_column.codes.append(
-                _intern(record, op_column.values, code_of, unhashable)
-            )
-        filled = index + 1
-        for column in self._columns.values():
-            if len(column.codes) < filled:
-                column.pad()
-        for op_column in self._op_columns.values():
-            if len(op_column.codes) < filled:
-                op_column.pad()
-        self.length = filled
+        _absorb_row(
+            self.length, state, self._columns, self._interns,
+            self._op_columns, self._op_interns,
+        )
+        self.length += 1
 
     def column(self, name: str) -> Optional[Column]:
         return self._columns.get(name)
@@ -309,27 +321,7 @@ class ColumnStore:
         seen: set = set()
         unhashable_seen: List[Any] = []
         for index, state in enumerate(self._source or ()):
-            for name, value in state.raw_values.items():
-                column = columns.get(name)
-                if column is None:
-                    column = columns[name] = Column(name, prefix_length=index)
-                    interns[name] = ({}, [])
-                code_of, unhashable = interns[name]
-                column.append(value, code_of, unhashable)
-            for name, record in state.raw_operations.items():
-                op_column = op_columns.get(name)
-                if op_column is None:
-                    op_column = op_columns[name] = OperationColumn(name, prefix_length=index)
-                    op_interns[name] = ({}, [])
-                code_of, unhashable = op_interns[name]
-                op_column.codes.append(_intern(record, op_column.values, code_of, unhashable))
-            filled = index + 1
-            for column in columns.values():
-                if len(column.codes) < filled:
-                    column.pad()
-            for op_column in op_columns.values():
-                if len(op_column.codes) < filled:
-                    op_column.pad()
+            _absorb_row(index, state, columns, interns, op_columns, op_interns)
             for value in state.observed_values():
                 try:
                     if value in seen:
@@ -389,10 +381,6 @@ class ColumnStore:
         """Distinct observed non-boolean values, in first-observation order."""
         self._ensure()
         return self._universe  # type: ignore[return-value]
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.length) - 1
 
     # -- row reconstruction (the lazy State view) ----------------------------
 

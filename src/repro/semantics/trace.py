@@ -267,9 +267,11 @@ class Trace:
         ``[length+1, length+period]`` — the first virtual copy of the
         repeating cycle — so that every change position beyond the concrete
         states is ``cycle[i] + t * period`` for some ``t >= 0``.  This is
-        the hook behind the compiled engine's interval-endpoint index
-        (:class:`repro.compile.runtime.EventIndex`), which bisects these
-        lists instead of re-scanning the trace per event search.
+        the hook behind the compiled engine's per-state interval-endpoint
+        index (:class:`repro.compile.runtime.EventIndex`), which bisects
+        these lists instead of re-scanning the trace per event search; a
+        kernel-vectorized event derives the same lists from its bitset
+        profile (:func:`repro.compile.vector.changes_from_bits`) instead.
         """
         if len(truth) != self._length:
             raise TraceError(

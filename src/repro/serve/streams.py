@@ -27,7 +27,7 @@ acknowledgement.
 batch entry every transport shipping multiple frames at once uses (shard
 workers, the asyncio front end's per-read frame lists, replay harnesses).
 Back-to-back ``append`` frames for one stream are absorbed as **one**
-runtime batch — one volatile-memo sweep, one tail-kernel extension, one
+runtime batch — one volatile-memo sweep, one kernel-profile extension, one
 verdict re-evaluation with ``commits=k`` so every clause's ``stable_for``
 advances exactly as ``k`` frame-at-a-time commits would have.  Each frame
 still gets its own acknowledgement (cumulative length, its own snapshot

@@ -4,9 +4,9 @@ Covers the multi-layer refactor's acceptance criteria: clauses sharing a
 subformula evaluate it once per position in a ``SpecPlanState`` (asserted
 through evaluation counters), spec-plan verdicts match the per-clause
 compiled engine over the full ``tests/corpus/`` families, the bounded LRU
-plan cache evicts with statistics, comparison atoms index through shared
-value columns, and the session-level fallbacks audit themselves on
-``engine_reason``.
+plan cache evicts with statistics, comparison atoms grounding to the same
+predicate share one endpoint index, and the session-level fallbacks audit
+themselves on ``engine_reason``.
 """
 
 import json
@@ -19,7 +19,6 @@ from repro.api import CheckRequest, Session
 from repro.checking import ConformanceCase, run_conformance
 from repro.checking.monitor import Monitor, SpecificationMonitor
 from repro.compile import (
-    ComparisonIndex,
     CompileError,
     PlanCache,
     SpecPlan,
@@ -324,38 +323,36 @@ class TestLRUPlanCache:
 
 
 class TestComparisonIndex:
-    def test_constant_comparisons_share_a_value_column(self):
-        # vectorize=False pins the per-position machinery this test is
-        # about; the default path derives these indexes from the bitset
-        # kernel and never builds a ValueColumn.
+    def test_constant_comparisons_index_once_per_constant(self):
+        # vectorize=False pins the per-state index path: each constant's
+        # comparison event builds one EventIndex, shared by every clause
+        # (and orientation) that grounds to the same predicate.
         rows = [{"x": i % 5, "p": True} for i in range(40)]
         trace = make_trace(rows)
         items = [(f"c{c}", parse_formula(f"[] ([x == {c}] p)")) for c in range(5)]
+        items.append(("flipped", parse_formula("[] ([3 == x] p)")))
         state = SpecPlan(items).evaluator(trace, vectorize=False)
         evaluator = Evaluator(trace)
         for (name, formula) in items:
             assert state.satisfies(name) == evaluator.satisfies(formula), name
-        inner = state._state
-        assert len(inner._columns) == 1            # one shared column for x
-        assert inner._columns["x"].built_to == trace.length
-        assert any(isinstance(ix, ComparisonIndex)
-                   for ix in inner._shared_indexes.values())
+        assert state._state.index_count == 5
 
-    def test_vectorized_comparisons_skip_the_value_column(self):
+    def test_vectorized_comparisons_index_from_the_kernel(self):
         # The same spec through the default (vectorized) binding answers
-        # identically but feeds its indexes from column bitsets.
+        # identically, shares indexes the same way, and derives each
+        # index's change positions from a kernel profile instead of a
+        # per-state truth scan.
         rows = [{"x": i % 5, "p": True} for i in range(40)]
         trace = make_trace(rows)
         items = [(f"c{c}", parse_formula(f"[] ([x == {c}] p)")) for c in range(5)]
+        items.append(("flipped", parse_formula("[] ([3 == x] p)")))
         state = SpecPlan(items).evaluator(trace)
         evaluator = Evaluator(trace)
         for (name, formula) in items:
             assert state.satisfies(name) == evaluator.satisfies(formula), name
         inner = state._state
-        assert not inner._columns
-        assert inner._shared_indexes and not any(
-            isinstance(ix, ComparisonIndex) for ix in inner._shared_indexes.values()
-        )
+        assert inner.index_count == 5
+        assert all(not ix.profile for ix in inner._shared_indexes.values())
 
     def test_inequality_and_flipped_orientation(self):
         trace = make_trace([{"x": i % 3} for i in range(12)])
@@ -367,13 +364,14 @@ class TestComparisonIndex:
 
     def test_bound_logical_variable_comparisons(self):
         trace = make_trace([{"x": i % 4} for i in range(16)])
-        formula = parse_formula("forall a . <> ([x == ?a] true)")
+        formula = parse_formula(
+            "(forall a . <> ([x == ?a] true)) /\\ (forall b . <> ([x == ?b] true))"
+        )
         state = compile_formula(formula).evaluator(trace, vectorize=False)
         assert state.satisfies() == Evaluator(trace).satisfies(formula)
-        # One column, one comparison index per binding.
-        assert len(state._columns) == 1
-        assert sum(isinstance(ix, ComparisonIndex)
-                   for ix in state._shared_indexes.values()) >= 2
+        # One index per value: ``x == ?a`` and ``x == ?b`` bound to the same
+        # value ground to one predicate and share it.
+        assert state.index_count == 4
 
     def test_missing_variable_error_behaviour_unchanged(self):
         # A state without x: the index goes unusable and the generic scan
