@@ -86,7 +86,7 @@ class Session:
         carries none.
     engines:
         A custom :class:`~repro.api.engines.EngineRegistry`; defaults to the
-        six standard engines.
+        seven standard engines.
     processes:
         Default worker-process count for :meth:`check_many` (``None`` =
         in-process).
@@ -110,11 +110,6 @@ class Session:
         sessions too, and the parent precompiles each compiled-path plan
         into it before fanning out — warm workers report their cache
         statistics on :attr:`last_parallel_cache_stats`.
-    forall_unroll_cap:
-        Bound on quantifier unrolling in the compiled runtime (``None`` =
-        the runtime default, ``0`` disables specialization).  Part of the
-        bound-plan-state cache key: plan states specialized under
-        different caps never alias.
     metrics:
         A :class:`~repro.obs.MetricsRegistry` to record into (defaults to
         a fresh one per session; pass ``repro.obs.NULL_METRICS`` for the
@@ -140,7 +135,6 @@ class Session:
         processes: Optional[int] = None,
         prefer_compiled: bool = True,
         plan_cache_dir: Optional[str] = None,
-        forall_unroll_cap: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         share_plan_states: bool = True,
@@ -154,7 +148,6 @@ class Session:
         self._processes = processes
         self._prefer_compiled = prefer_compiled
         self._plan_cache_dir = plan_cache_dir
-        self._forall_unroll_cap = forall_unroll_cap
         #: Per-worker cache statistics of the most recent
         #: ``check_many(processes=...)`` fan-out (one dict per chunk).
         #: Kept for tooling compatibility — worker telemetry now also
@@ -219,7 +212,7 @@ class Session:
             OrderedDict()
         )
         # Lazy bounded pool of lowered incremental plan states, keyed by
-        # (plan digest, domain key, unroll cap); see release_monitor.
+        # (plan digest, domain key); see release_monitor.
         self._plan_state_pool: Optional[Any] = None
         # The traces holding this session's evaluators and bound plan
         # states.  The bindings themselves live on each trace (under this
@@ -275,17 +268,17 @@ class Session:
             domain = self._default_domain
         return self._binding(
             trace,
-            ("evaluator", _domain_key(domain), None, None),
+            ("evaluator", _domain_key(domain), None),
             lambda: Evaluator(trace, domain),
         )
 
     def _binding(self, trace: Trace, key: Tuple[Any, ...], build: Callable[[], Any]):
         """This session's state bound to ``trace`` under ``key``.
 
-        ``key`` is ``(plan digest or "evaluator", domain key, vectorize,
-        cap)``; the state is built on first use and stored in the trace's
-        own binding dict under this session's token.  Uncacheable domains
-        get a fresh, unshared state.
+        ``key`` is ``(plan digest or "evaluator", domain key, vectorize)``;
+        the state is built on first use and stored in the trace's own
+        binding dict under this session's token.  Uncacheable domains get a
+        fresh, unshared state.
         """
         if key[1] is _UNCACHEABLE:
             return build()
@@ -433,8 +426,8 @@ class Session:
         And unless the session was built with ``share_plan_states=False``,
         a monitor released through :meth:`release_monitor` parks its
         fully-lowered plan state in a bounded pool, keyed by (plan digest,
-        domain, unroll cap); the next open of the same shape reuses the
-        closure table instead of lowering again.
+        domain); the next open of the same shape reuses the closure table
+        instead of lowering again.
         """
         from ..checking.monitor import Monitor
 
@@ -442,7 +435,6 @@ class Session:
 
         if domain is None:
             domain = self._default_domain
-        cap = options.setdefault("forall_unroll_cap", self._forall_unroll_cap)
         domain_key = _domain_key(domain)
         shared = self._share_plan_states and domain_key is not _UNCACHEABLE
         identity = None
@@ -467,7 +459,7 @@ class Session:
         pool_key = None
         pooled = None
         if shared:
-            pool_key = (plan.digest, domain_key, cap)
+            pool_key = (plan.digest, domain_key)
             pooled = self.plan_state_pool.acquire(pool_key)
             if pooled is not None and pooled.plan is not plan:
                 # The plan was evicted and recompiled between park and
@@ -491,7 +483,7 @@ class Session:
         rebuilt): the monitor's spec-plan state is reset *in place* —
         memos, slots, kernel profiles and the growing prefix all cleared,
         the expensive closure table kept — and pooled under its (plan,
-        domain, cap) key, so the next :meth:`monitor` call of the same
+        domain) key, so the next :meth:`monitor` call of the same
         shape skips the lowering.  Returns whether the state was pooled;
         monitors from other sessions, uncacheable domains or a
         ``share_plan_states=False`` session are simply ignored.  The
@@ -587,13 +579,10 @@ class Session:
         return state, from_cache
 
     def _bind_plan(self, plan, trace: Trace, domain, domain_key: Any, vectorize: bool):
-        cap = self._forall_unroll_cap
         return self._binding(
             trace,
-            (plan.digest, domain_key, bool(vectorize), cap),
-            lambda: plan.evaluator(
-                trace, domain, vectorize=vectorize, forall_unroll_cap=cap
-            ),
+            (plan.digest, domain_key, bool(vectorize)),
+            lambda: plan.evaluator(trace, domain, vectorize=vectorize),
         )
 
     def spec_plan_state(

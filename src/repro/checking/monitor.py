@@ -247,7 +247,9 @@ class Monitor:
     formulas:
         Name → interval-logic formula, all watched on every observed state.
     domain:
-        ``Forall`` quantification domains.
+        ``Forall`` quantification domains.  A variable not named here
+        ranges over the values observed so far, so its quantifiers are
+        re-decided as the prefix grows.
     plan:
         A prebuilt multi-root plan whose roots are exactly the formula
         names — :meth:`repro.api.session.Session.monitor` passes one from
@@ -257,9 +259,9 @@ class Monitor:
         A recycled incremental :class:`SpecPlanState` for ``plan`` (reset
         to length zero) from the session's plan-state pool; the monitor
         then skips the lowering entirely.  It must have been lowered over
-        the same domain and unroll cap as this monitor's — the session
-        keys its pool by exactly that, so callers going through
-        :meth:`Session.monitor` never see a mismatch.
+        the same domain as this monitor's — the session keys its pool by
+        exactly that, so callers going through :meth:`Session.monitor`
+        never see a mismatch.
     on_change:
         Called as ``on_change(name, verdict)`` whenever a formula's verdict
         flips (or is first decided) — the serve layer's alert hook.
@@ -270,11 +272,6 @@ class Monitor:
     stat_window:
         Ring-buffer capacity for ``step_costs`` and verdict histories
         (``None`` = unbounded, the pre-serve behaviour).
-    forall_unroll_cap:
-        Bound on quantifier specialization in the compiled runtime
-        (``None`` = the runtime default, ``0`` disables unrolling) —
-        verdicts are identical at any cap; the knob exists for parity
-        harnesses and benchmarks pinning one mode.
     """
 
     def __init__(
@@ -287,7 +284,6 @@ class Monitor:
         on_change: Optional[Callable[[str, MonitorVerdict], None]] = None,
         capture_errors: bool = False,
         stat_window: Optional[int] = DEFAULT_STAT_WINDOW,
-        forall_unroll_cap: Optional[int] = None,
     ) -> None:
         self._formulas = dict(formulas)
         self._domain = domain
@@ -316,11 +312,7 @@ class Monitor:
         else:
             self._prefix = GrowingPrefix()
             self._state = SpecPlanState(
-                plan,
-                self._prefix,
-                domain=domain,
-                incremental=True,
-                forall_unroll_cap=forall_unroll_cap,
+                plan, self._prefix, domain=domain, incremental=True
             )
             self.state_from_pool = False
         self._on_change = on_change

@@ -153,51 +153,41 @@ def _lower_occurs(state, node):
 
 
 def _lower_forall(state, node):
-    """Quantifier lowering, specialized when the domains are known small.
+    """``∀ x1..xn . α``: the body under every binding of the domain product.
 
-    When every quantified variable carries an *explicit* domain and the
-    cartesian product has at most ``forall_unroll_cap`` bindings, the
-    quantifier unrolls at lowering time: the binding tuples are
-    precomputed once per plan state and the closure is a flat loop —
-    no per-call recursion, no per-level domain lookups — so each
-    instantiated body hits its own envkey-addressed memo slots (and, for
-    state-formula bodies, its own kernel profile) directly.  Iteration
-    order, first-``False`` short-circuit and error propagation are
-    exactly those of :meth:`PlanState._holds_forall`, which remains the
-    path for default-universe or over-cap quantifiers.
+    Each call resolves the variables' domains once, in order, through
+    :meth:`PlanState._domain_for` (an explicit domain, else the observed
+    value universe, which marks the verdict tail-dependent on a growing
+    prefix); the first empty domain makes the quantifier vacuously true.
+    Bindings run in the evaluator's nested order and stop at the first
+    ``False``; each instantiated body hits its own envkey-addressed memo
+    slots, and the slots are restored however the loop ends.
     """
-    cap = state._forall_unroll_cap
+    holds = state._holds
+    domain_for = state._domain_for
+    slots = state._slots
     names = node.var_names
-    if cap > 0 and all(name in state._domain for name in names):
-        domains = [state._domain[name] for name in names]
-        total = 1
-        for values in domains:
-            total *= len(values)
-        if total <= cap:
-            bindings = list(product(*domains))
-            holds = state._holds
-            slots = state._slots
-            var_slots = node.var_slots
-            child = node.a
-
-            def run(lo, hi):
-                saved = [slots[s] for s in var_slots]
-                try:
-                    for combo in bindings:
-                        for slot, value in zip(var_slots, combo):
-                            slots[slot] = value
-                        if not holds(child, lo, hi):
-                            return False
-                    return True
-                finally:
-                    for slot, value in zip(var_slots, saved):
-                        slots[slot] = value
-            return run
-
-    holds_forall = state._holds_forall
+    var_slots = node.var_slots
+    child = node.a
 
     def run(lo, hi):
-        return holds_forall(node, lo, hi)
+        domains = []
+        for name in names:
+            values = domain_for(name)
+            if not values:
+                return True
+            domains.append(values)
+        saved = [slots[s] for s in var_slots]
+        try:
+            for combo in product(*domains):
+                for slot, value in zip(var_slots, combo):
+                    slots[slot] = value
+                if not holds(child, lo, hi):
+                    return False
+            return True
+        finally:
+            for slot, value in zip(var_slots, saved):
+                slots[slot] = value
     return run
 
 

@@ -110,41 +110,22 @@ class CompiledPlan:
         trace,
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
         vectorize: bool = True,
-        forall_unroll_cap: Optional[int] = None,
     ):
         """A :class:`PlanState` bound to a fixed (possibly lasso) trace.
 
         ``vectorize=False`` disables the bitset kernel and forces the
         per-position memo path for every node (the ``stepwise`` engine's
-        mode; verdicts are identical either way).  ``forall_unroll_cap``
-        bounds quantifier unrolling (``None`` = runtime default, ``0``
-        disables it).
+        mode; verdicts are identical either way).
         """
         from .runtime import PlanState
 
-        return PlanState(
-            self,
-            trace,
-            domain=domain,
-            vectorize=vectorize,
-            forall_unroll_cap=forall_unroll_cap,
-        )
+        return PlanState(self, trace, domain=domain, vectorize=vectorize)
 
-    def monitor(
-        self,
-        domain: Optional[Mapping[str, Iterable[Any]]] = None,
-        forall_unroll_cap: Optional[int] = None,
-    ):
+    def monitor(self, domain: Optional[Mapping[str, Iterable[Any]]] = None):
         """An incremental :class:`PlanState` over a growing state prefix."""
         from .runtime import GrowingPrefix, PlanState
 
-        return PlanState(
-            self,
-            GrowingPrefix(),
-            domain=domain,
-            incremental=True,
-            forall_unroll_cap=forall_unroll_cap,
-        )
+        return PlanState(self, GrowingPrefix(), domain=domain, incremental=True)
 
 
 def compile_formula(formula: Formula) -> CompiledPlan:

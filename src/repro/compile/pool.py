@@ -6,15 +6,15 @@ of that is trace-independent — only the *contents* of the memo tables and
 the growing prefix belong to a particular stream — so when a stream
 closes (or a serve handle is rebuilt), its spec-plan state can be reset
 in place and handed to the next stream that opens the same plan over the
-same domain under the same unroll cap.  A 1,000-stream fleet cycling
+same domain.  A 1,000-stream fleet cycling
 over a handful of spec families then pays the lowering once per family
 and recycles the skeletons forever after.
 
-Keys carry everything the lowering observed: the plan digest (alpha-
-invariant, so renamed spec variants share a pool slot), the *full* domain
-key — names **and** values, because ``Forall`` unrolling precomputes the
-binding tuples from the domain values at lowering time — and the unroll
-cap.  States whose domain fails to hash are simply never pooled.
+Keys carry everything a state was bound with: the plan digest (alpha-
+invariant, so renamed spec variants share a pool slot) and the *full*
+domain key — names **and** values, because each state keeps its explicit
+``Forall`` domains and its quantifiers read them on every call.  States
+whose domain fails to hash are simply never pooled.
 
 The pool is bounded two ways (per key and in total; beyond the total the
 least recently touched key sheds states) so a fleet that churns through
@@ -36,7 +36,7 @@ __all__ = [
 #: touched key sheds states first.
 DEFAULT_POOL_STATES = 256
 
-#: Parked states per (plan, domain, cap) key — the most concurrent
+#: Parked states per (plan, domain) key — the most concurrent
 #: close/open churn one shape is expected to see between acquires.
 DEFAULT_POOL_STATES_PER_KEY = 8
 

@@ -66,7 +66,6 @@ from .dag import (
 
 __all__ = [
     "UNSET",
-    "DEFAULT_FORALL_UNROLL_CAP",
     "GrowingPrefix",
     "EventIndex",
     "PlanStats",
@@ -78,12 +77,6 @@ Position = Union[int, float]
 
 #: Sentinel marking an unbound logical-variable slot.
 UNSET = object()
-
-#: Default cap on explicit-domain ``Forall`` unrolling at lowering time:
-#: a quantifier whose variables all carry explicit domains with at most
-#: this many bindings in total (the cartesian product) lowers to a flat
-#: specialized loop over precomputed binding tuples.
-DEFAULT_FORALL_UNROLL_CAP = 8
 
 _MISS = object()
 
@@ -381,14 +374,10 @@ class PlanState:
         Verdicts and error behaviour are identical either way — the kernel
         falls back per node whenever it cannot reproduce the per-position
         semantics bit-for-bit.
-    forall_unroll_cap:
-        ``Forall`` nodes whose variables all carry *explicit* domains with
-        at most this many bindings in total unroll at lowering time into a
-        flat specialized loop over the precomputed binding tuples (see
-        :mod:`repro.compile.lower`); larger or default-universe domains
-        keep the generic per-call quantifier path.  ``0`` disables
-        unrolling.  Verdicts, short-circuit order and error behaviour are
-        identical either way.
+
+    ``Forall`` nodes resolve each variable's domain on every call through
+    :meth:`_domain_for` and loop over the cartesian product (see
+    :mod:`repro.compile.lower`).
     """
 
     def __init__(
@@ -398,7 +387,6 @@ class PlanState:
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
         incremental: bool = False,
         vectorize: bool = True,
-        forall_unroll_cap: Optional[int] = None,
     ) -> None:
         self._plan = plan
         self._nodes = plan.nodes
@@ -427,9 +415,6 @@ class PlanState:
         self._volatile_events: Dict[Any, Any] = {}
         self._volatile_constructs: Dict[Any, Any] = {}
         self._tail: List[bool] = [False]
-        if forall_unroll_cap is None:
-            forall_unroll_cap = DEFAULT_FORALL_UNROLL_CAP
-        self._forall_unroll_cap = max(0, int(forall_unroll_cap))
         self.stats = PlanStats()
         # The bitset kernel evaluates state formulas columnwise: whole-trace
         # profiles on a static Trace, window-extended profiles on a growing
@@ -624,21 +609,38 @@ class PlanState:
                     return hit
         except TypeError:
             key = None
-        if not incremental:
-            value = self._ops[nid](lo, hi)
+        ops = self._ops[nid]
+        return self._memoized(key, self._stable, self._volatile, ops, lo, hi)[0]
+
+    def _memoized(
+        self, key, stable: Optional[dict], volatile: Optional[dict], compute, *args
+    ) -> Tuple[Any, bool]:
+        """``compute(*args)`` filed under ``key`` in a tail-aware memo pair.
+
+        Returns ``(value, tail)``.  On a static trace nothing is
+        tail-dependent and the value goes to ``stable``.  On a growing
+        prefix the computation runs in its own tail frame: a value that
+        looked past the last concrete state goes to ``volatile`` (cleared
+        by :meth:`note_append`) and marks the caller's frame tail-dependent
+        too; any other value is frozen in ``stable``.  A ``None`` key
+        (unhashable bindings) computes without filing.
+        """
+        if not self._incremental:
+            value = compute(*args)
             if key is not None:
-                self._stable[key] = value
-            return value
-        self._tail.append(False)
+                stable[key] = value
+            return value, False
+        frames = self._tail
+        frames.append(False)
         try:
-            value = self._ops[nid](lo, hi)
+            value = compute(*args)
         finally:
-            tail = self._tail.pop()
+            tail = frames.pop()
             if tail:
-                self._tail[-1] = True
+                frames[-1] = True
         if key is not None:
-            (self._volatile if tail else self._stable)[key] = value
-        return value
+            (volatile if tail else stable)[key] = value
+        return value, tail
 
     def _junction(self, a: int, b: int, lo: int, hi: Position, deciding: bool) -> bool:
         """``∧`` / ``∨`` with order-insensitive error behaviour.
@@ -663,17 +665,6 @@ class PlanState:
         if error is not None:
             raise error
         return not deciding
-
-    def _holds_tracked(self, nid: int, lo: int, hi: Position) -> Tuple[bool, bool]:
-        """Evaluate a child and report whether its verdict is tail-dependent."""
-        self._tail.append(False)
-        try:
-            value = self._holds(nid, lo, hi)
-        finally:
-            tail = self._tail.pop()
-            if tail:
-                self._tail[-1] = True
-        return value, tail
 
     # -- [] / <> -------------------------------------------------------------
 
@@ -717,7 +708,9 @@ class PlanState:
             agg_key = None
         first_tail: Optional[int] = None
         for k in range(max(frontier + 1, lo), n + 1):
-            value, tail = self._holds_tracked(child, k, INFINITY)
+            value, tail = self._memoized(
+                None, None, None, self._holds, child, k, INFINITY
+            )
             if value is want:
                 return want
             if tail and first_tail is None:
@@ -742,28 +735,6 @@ class PlanState:
         if name in self._domain:
             return self._domain[name]
         return self._default_universe()
-
-    def _holds_forall(self, node, lo: int, hi: Position) -> bool:
-        names = node.var_names
-        var_slots = node.var_slots
-        slots = self._slots
-        count = len(names)
-
-        def recurse(index: int) -> bool:
-            if index == count:
-                return self._holds(node.a, lo, hi)
-            slot = var_slots[index]
-            saved = slots[slot]
-            try:
-                for value in self._domain_for(names[index]):
-                    slots[slot] = value
-                    if not recurse(index + 1):
-                        return False
-                return True
-            finally:
-                slots[slot] = saved
-
-        return recurse(0)
 
     def _holds_bindnext(self, node, lo: int, hi: Position) -> bool:
         found = self._find_event(node.event, Interval(lo, hi), Direction.FORWARD)
@@ -814,33 +785,21 @@ class PlanState:
             key = (tid, lo, hi) + tuple(slots[s] for s in free)
         else:
             key = (tid, lo, hi)
-        incremental = self._incremental
         try:
             hit = self._construct_memo.get(key, _MISS)
         except TypeError:
             key, hit = None, _MISS
         if hit is not _MISS:
             return hit
-        if incremental and key is not None:
+        if self._incremental and key is not None:
             hit = self._volatile_constructs.get(key, _MISS)
             if hit is not _MISS:
                 self._tail[-1] = True
                 return hit
-        if not incremental:
-            found = self._construct(tid, Interval(lo, hi), Direction.FORWARD)
-            if key is not None:
-                self._construct_memo[key] = found
-            return found
-        self._tail.append(False)
-        try:
-            found = self._construct(tid, Interval(lo, hi), Direction.FORWARD)
-        finally:
-            tail = self._tail.pop()
-            if tail:
-                self._tail[-1] = True
-        if key is not None:
-            (self._volatile_constructs if tail else self._construct_memo)[key] = found
-        return found
+        return self._memoized(
+            key, self._construct_memo, self._volatile_constructs,
+            self._construct, tid, Interval(lo, hi), Direction.FORWARD,
+        )[0]
 
     def _construct(self, tid: int, context: Optional[Interval], direction: str):
         if context is BOTTOM:
@@ -1096,31 +1055,19 @@ class PlanState:
             key = (event_nid, i, j, direction, envkey)
         except TypeError:
             key = None
-        incremental = self._incremental
         if key is not None:
             hit = self._event_memo.get(key, _MISS)
             if hit is not _MISS:
                 return hit
-            if incremental:
+            if self._incremental:
                 hit = self._volatile_events.get(key, _MISS)
                 if hit is not _MISS:
                     self._tail[-1] = True
                     return hit
-        if not incremental:
-            found = self._find_event_uncached(event_nid, node, i, j, direction)
-            if key is not None:
-                self._event_memo[key] = found
-            return found
-        self._tail.append(False)
-        try:
-            found = self._find_event_uncached(event_nid, node, i, j, direction)
-        finally:
-            tail = self._tail.pop()
-            if tail:
-                self._tail[-1] = True
-        if key is not None:
-            (self._volatile_events if tail else self._event_memo)[key] = found
-        return found
+        return self._memoized(
+            key, self._event_memo, self._volatile_events,
+            self._find_event_uncached, event_nid, node, i, j, direction,
+        )[0]
 
     def _find_event_uncached(
         self, event_nid: int, node, i: int, j: Position, direction: str

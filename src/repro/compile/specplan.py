@@ -167,32 +167,15 @@ class SpecPlan:
         trace,
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
         vectorize: bool = True,
-        forall_unroll_cap: Optional[int] = None,
     ):
         """A :class:`SpecPlanState` bound to a fixed (possibly lasso) trace."""
-        return SpecPlanState(
-            self,
-            trace,
-            domain=domain,
-            vectorize=vectorize,
-            forall_unroll_cap=forall_unroll_cap,
-        )
+        return SpecPlanState(self, trace, domain=domain, vectorize=vectorize)
 
-    def monitor(
-        self,
-        domain: Optional[Mapping[str, Iterable[Any]]] = None,
-        forall_unroll_cap: Optional[int] = None,
-    ):
+    def monitor(self, domain: Optional[Mapping[str, Iterable[Any]]] = None):
         """An incremental :class:`SpecPlanState` over a growing state prefix."""
         from .runtime import GrowingPrefix
 
-        return SpecPlanState(
-            self,
-            GrowingPrefix(),
-            domain=domain,
-            incremental=True,
-            forall_unroll_cap=forall_unroll_cap,
-        )
+        return SpecPlanState(self, GrowingPrefix(), domain=domain, incremental=True)
 
 
 @dataclass(frozen=True)
@@ -225,18 +208,12 @@ class SpecPlanState:
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
         incremental: bool = False,
         vectorize: bool = True,
-        forall_unroll_cap: Optional[int] = None,
     ) -> None:
         from .runtime import PlanState
 
         self._plan = plan
         self._state = PlanState(
-            plan,
-            trace,
-            domain=domain,
-            incremental=incremental,
-            vectorize=vectorize,
-            forall_unroll_cap=forall_unroll_cap,
+            plan, trace, domain=domain, incremental=incremental, vectorize=vectorize
         )
 
     # -- shared-state introspection ------------------------------------------

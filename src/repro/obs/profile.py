@@ -7,7 +7,7 @@ which makes the dispatch layer itself the natural interposition point:
 other runtime code changes.
 
 Attribution is by **node kind**, the four cost classes that matter when
-tuning a plan: ``forall`` (quantifier expansion, specialized or generic),
+tuning a plan: ``forall`` (quantifier expansion over the domain product),
 ``event-search`` (interval/occurs term construction and event scans),
 ``bitset-kernel`` (node ids bound to the vectorized columnwise mode), and
 ``fallback`` (everything evaluated by the scalar closures).  Kernel-bound

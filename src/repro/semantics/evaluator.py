@@ -224,7 +224,7 @@ class Evaluator:
         if isinstance(formula, Occurs):
             return self._holds_occurs(formula, lo, hi, env)
         if isinstance(formula, Forall):
-            return self._holds_forall(formula, lo, hi, env)
+            return self._holds_universal(formula, lo, hi, env)
         if isinstance(formula, NextBinding):
             return self._holds_next_binding(formula, lo, hi, env)
         raise EvaluationError(f"unknown formula node: {formula!r}")
@@ -262,7 +262,7 @@ class Evaluator:
             self._default_domain = self._trace.value_universe()
         return self._default_domain
 
-    def _holds_forall(
+    def _holds_universal(
         self, formula: Forall, lo: int, hi: Position, env: Mapping[str, Any]
     ) -> bool:
         def recurse(remaining: Tuple[str, ...], current: Dict[str, Any]) -> bool:

@@ -1,17 +1,18 @@
 """The quantified-spec fast path, proven by parity.
 
-Forall specialization (unrolling explicit-domain quantifiers at lowering
-time) and batched tail-window appends are pure *speed* changes — every
-observable answer must be bit-for-bit what the generic quantifier path
-and single-state appends produce.  This harness pins that:
+The compiled quantifier loop and batched tail-window appends must give
+bit-for-bit the answers of the interpreting evaluator and of single-state
+appends.  This harness pins that:
 
 - the ``quantified_incremental`` corpus (queue I1-I3, the Chapter 5
   queue/stack foralls, quantified mutual-exclusion obligations) replays
   disagreement-free through the differential oracle AND incrementally
   through monitors with batched appends, against pinned verdicts;
-- any ``forall_unroll_cap`` (0 = generic quantification, small caps,
-  huge caps) yields identical verdicts, engine reasons and captured
-  errors;
+- the quantifier loop agrees with ``Evaluator`` on explicit domain
+  products of 4, 9 and 27 (errors and short-circuit order included), on
+  an empty outer domain (vacuous truth) and on observed-value domains
+  checked at every monitored append, and only observed-value domains
+  make a verdict tail-dependent;
 - the serve registry's same-stream coalescing answers byte-identical
   response and snapshot sequences to frame-at-a-time dispatch, including
   mid-group verdict flips and malformed frames;
@@ -23,8 +24,11 @@ and single-state appends produce.  This harness pins that:
 
 import copy
 import os
+import random
 
 from repro.api import CheckRequest, Session
+from repro.checking import Monitor
+from repro.compile import compile_formula
 from repro.gen import (
     DifferentialOracle,
     FuzzConfig,
@@ -33,9 +37,13 @@ from repro.gen import (
     replay_corpus,
 )
 from repro.gen.loadgen import generate_stream_scripts
+from repro.semantics.evaluator import Evaluator
+from repro.semantics.state import State
+from repro.semantics.trace import Trace
 from repro.serve.protocol import trace_to_rows
 from repro.serve.streams import StreamRegistry
 from repro.specs import reliable_queue_spec
+from repro.syntax.parser import parse_formula
 from repro.systems import reliable_queue_trace
 
 CORPUS_PATH = os.path.join(
@@ -116,53 +124,94 @@ class TestQuantifiedCorpus:
         }
 
 
-class TestForallCapParity:
-    def test_generic_quantifier_path_pins_identical_expectations(self):
-        """A session with unrolling disabled (cap 0) re-derives exactly the
-        pinned expectations: specialization never changes an answer."""
-        generic = DifferentialOracle(
-            session=Session(forall_unroll_cap=0), shrink=False
-        )
-        for case in corpus_cases():
-            fresh = generic.record_expectations(case.replacing(expect=None))
-            assert fresh.expect == case.expect, case.id
+QUANTIFIED = {
+    "pairs_seen": "forall a, b . <> (x == ?a /\\ z == ?b)",
+    "pairs_avoided": "forall a, b . (?a != ?b -> [] ~(x == ?a /\\ y == ?b))",
+    "triples": "forall a, b, c . [] ((x == ?a /\\ y == ?b) -> (?a == ?b \\/ z != ?c))",
+    "nested": "forall a . forall b . <> (x == ?a /\\ z == ?b)",
+    "ordered": "forall b, a . [] (z != ?b \\/ x >= ?a)",
+    "shadowed": "forall a . ((forall a . [] z != ?a) \\/ <> (x == ?a /\\ z == 2))",
+}
 
-    def test_every_cap_agrees_on_monitored_streams(self):
-        """Caps straddling every specialization decision (off, below the
-        domain product, at the default, far above) are indistinguishable."""
-        baseline = {}
-        for cap in (None, 0, 1, 4, 64):
-            session = Session() if cap is None else Session(forall_unroll_cap=cap)
-            for case in corpus_cases():
-                monitor = session.monitor(
-                    clause_formulas(case), domain=case.domain, capture_errors=True
-                )
-                monitor.observe_batch(case.built_trace().states())
-                holds = monitor_holds(monitor)
-                if cap is None:
-                    baseline[case.id] = holds
-                else:
-                    assert holds == baseline[case.id], (cap, case.id)
 
-    def test_check_results_share_verdict_and_engine_reason(self):
-        """The one-shot façade agrees across caps down to the recorded
-        engine reason — specialization happens inside the compiled path,
-        never by rerouting to a different engine."""
-        trace = reliable_queue_trace()
-        formulas = [
-            clause.interpreted_formula()
-            for clause in reliable_queue_spec().clauses
+def _outcome(decide):
+    """A verdict, or the error type the computation raised."""
+    try:
+        return decide()
+    except Exception as exc:
+        return type(exc).__name__
+
+
+class TestQuantifierLoop:
+    def test_single_loop_matches_the_evaluator(self):
+        """The compiled quantifier loop agrees with the interpreting
+        evaluator on explicit domain products of 4, 9 and 27 (one with an
+        erroring value), on an empty explicit outer domain whose inner
+        variable ranges over the observed values (vacuous truth), and on
+        observed-value quantifiers checked after every monitored append."""
+        rng = random.Random(14)
+        states = []
+        for k in range(40):
+            # y copies x until state 30, so the pair clauses flip mid-stream.
+            x = rng.randrange(3)
+            y = x if k < 30 else rng.randrange(3)
+            states.append(State({"x": x, "y": y, "z": rng.randrange(3)}))
+        formulas = {name: parse_formula(text) for name, text in QUANTIFIED.items()}
+        domains = [
+            {v: (0, 1) for v in "abc"},  # products 4 and 8
+            {v: (0, 1, 2) for v in "abc"},  # products 9 and 27
+            {"a": (1, "three"), "b": (1, 0), "c": (0,)},  # ``x >= "three"`` errors
+            {"a": ()},  # empty outer domain, b and c over the observed values
+            None,  # every variable over the observed values
         ]
-        default = Session()
-        generic = Session(forall_unroll_cap=0)
-        for formula in formulas:
-            a = default.check(formula, trace=trace, capture_errors=True)
-            b = generic.check(formula, trace=trace, capture_errors=True)
-            assert (a.verdict, a.engine_reason, a.error) == (
-                b.verdict,
-                b.engine_reason,
-                b.error,
-            )
+        products = {
+            len(domains[0]["a"]) ** len(f.variables) for f in formulas.values()
+        } | {len(domains[1]["a"]) ** len(f.variables) for f in formulas.values()}
+        assert {4, 9, 27} <= products
+        for domain in domains:
+            trace = Trace(states)
+            expected = {
+                name: _outcome(lambda: Evaluator(trace, domain).satisfies(f))
+                for name, f in formulas.items()
+            }
+            for vectorize in (True, False):
+                for name, f in formulas.items():
+                    plan = compile_formula(f)
+                    got = _outcome(
+                        lambda: plan.evaluator(trace, domain, vectorize).satisfies()
+                    )
+                    assert got == expected[name], (domain, vectorize, name)
+            if domain == {"a": ()}:
+                assert expected["pairs_seen"] is expected["nested"] is True
+            monitor = Monitor(formulas, domain, capture_errors=True)
+            for length, state in enumerate(states, 1):
+                monitor.observe(state)
+                prefix = Trace(states[:length])
+                for name, f in formulas.items():
+                    want = _outcome(lambda: Evaluator(prefix, domain).satisfies(f))
+                    verdict = monitor.verdicts[name]
+                    got = verdict.holds if verdict.error is None else "error"
+                    assert got == (want if isinstance(want, bool) else "error"), (
+                        domain, length, name,
+                    )
+
+    def test_only_observed_value_domains_make_verdicts_tail_dependent(self):
+        """On a growing prefix a quantifier over the observed values is
+        re-decided after every append (its domain can grow), while the same
+        quantifier over an explicit domain freezes in the stable memo."""
+        plan = compile_formula(parse_formula("forall a . ~(x == ?a /\\ y == ?a)"))
+
+        def holds_root(memo):
+            return any(key[0] == plan.root for key in memo)
+
+        for domain, tail_dependent in (({"a": (0, 1, 2)}, False), (None, True)):
+            state = plan.monitor(domain)
+            for k in range(3):
+                state.trace.append(State({"x": k, "y": k + 1}))
+                state.note_append()
+                assert state.satisfies() is True
+                assert holds_root(state._volatile) is tail_dependent, domain
+                assert holds_root(state._stable) is not tail_dependent, domain
 
 
 class TestServeCoalescing:

@@ -17,6 +17,7 @@ Covers the serving tentpole's acceptance behaviours end to end:
 
 import asyncio
 import os
+import signal
 
 import pytest
 
@@ -419,6 +420,38 @@ class TestShardPool:
             (err,) = pool.handle({"op": "append", "stream": "ghost",
                                   "states": [{"values": {}}]})
             assert err["error"] == "unknown-stream"
+
+
+    def test_failed_fan_out_keeps_later_replies_on_their_streams(self):
+        """A batch that fails on a dead worker must not leave the live
+        worker's reply in its pipe, where it would answer the next request
+        and shift every later reply onto the wrong stream."""
+        from repro.serve.worker import ShardPool
+
+        with ShardPool(2) as pool:
+            names = [f"s{i}" for i in range(40)]
+            live = [n for n in names if pool.worker_for(n) == 0][:4]
+            dead = next(n for n in names if pool.worker_for(n) == 1)
+            for name in live:
+                (opened,) = pool.handle(
+                    {"op": "open", "stream": name, "formulas": {"c": "[] p"}}
+                )
+                assert opened.get("ok") == "opened", opened
+            victim = pool._workers[1].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            assert not victim.is_alive()
+            rows = [{"values": {"p": True}}]
+            with pytest.raises((OSError, EOFError)):
+                pool.handle_batch([
+                    {"op": "append", "stream": live[0], "states": rows},
+                    {"op": "append", "stream": dead, "states": rows},
+                ])
+            for name in live + live[::-1]:
+                replies = pool.handle({"op": "snapshot", "stream": name})
+                assert [(r.get("ok"), r.get("stream")) for r in replies] == [
+                    ("snapshot", name)
+                ], replies
 
 
 class TestServeReplay:
