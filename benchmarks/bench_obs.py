@@ -19,30 +19,27 @@ Two assertions:
   with every stream's final verdicts identical to one-shot
   ``Session.check_spec`` — instrumentation must not change answers;
 * instrumented throughput stays within the overhead budget of the
-  baseline: ``instrumented >= BENCH_OBS_MAX_OVERHEAD * baseline``.  The
-  issue's target is 5% (0.95); the committed default is 0.90 because the
-  shared runner's wall clock swings by more than 5% between identical
-  runs even best-of-3 — the trajectory row records the measured ratio so
-  regressions show in review either way, and the nightly multi-core
-  runner can pin ``BENCH_OBS_MAX_OVERHEAD=0.95``.
+  baseline: throughput retention ``>= BENCH_OBS_MAX_OVERHEAD`` (default
+  0.90; the nightly multi-core runner can pin 0.95).
 
-Records the ``obs-overhead-v1`` row in ``BENCH_obs.json``: both modes'
-states/second, the throughput retention (instrumented / baseline), and
-the metrics the instrumented run accumulated (states ingested per the
-registry must equal states sent — the gate doubles as an accounting
-check).
+Retention is the **median of per-round paired ratios**: every round
+ingests the wire in both modes, back to back chunk by chunk with the
+order alternating, and contributes one ratio ``baseline_s /
+instrumented_s``.  A pair shares the host's state of the moment, so a
+slow phase of a shared runner moves both halves of it; a ratio of two
+best-of-N walls, the old shape, took each mode's luckiest round from
+different moments and read 0.64 in one run and 1.17 in the next on
+unchanged code.  The absolute floor judges the best instrumented round.
 
-Measurement order is interleaved: every round ingests the wire in *both*
-modes back-to-back, alternating which mode goes first, and each mode
-keeps its best round.  Running all baseline rounds before all
-instrumented rounds (the old shape) handed the baseline every cold-start
-cost — allocator growth, branch-predictor and page-cache warm-up — and
-the "overhead" ratio came out above 1.3, i.e. instrumentation appearing
-to *speed up* the server, which is measurement bias, not physics.
+Records the ``obs-overhead-v1`` row in ``BENCH_obs.json`` (with
+``BENCH_RECORD=1``): both modes' best states/second, the retention and
+its per-round ratios, and the metrics the instrumented run accumulated
+(states ingested per the registry must equal states sent — the gate
+doubles as an accounting check).
 """
 
-import json
 import os
+import statistics
 import time
 
 from repro.api.session import Session
@@ -52,35 +49,19 @@ from repro.serve.streams import StreamRegistry
 
 from bench_serve import (
     BATCH,
-    ROUNDS,
     STREAMS,
     assert_fleet_parity,
     build_fleet,
     interleaved_append_frames,
 )
+from trajectory import record_point
 
 FLOOR = float(os.environ.get("BENCH_OBS_FLOOR", "50000"))
 MAX_OVERHEAD = float(os.environ.get("BENCH_OBS_MAX_OVERHEAD", "0.90"))
+#: Paired rounds behind the retention median.
+ROUNDS = 7
 
-SERIES_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_obs.json")
-
-
-def record_point(label, row):
-    """Append/refresh one labelled entry in the committed trajectory series."""
-    series = []
-    if os.path.exists(SERIES_PATH):
-        with open(SERIES_PATH) as handle:
-            series = json.load(handle)
-    entry = {"label": label, **row}
-    for index, existing in enumerate(series):
-        if existing.get("label") == label:
-            series[index] = entry
-            break
-    else:
-        series.append(entry)
-    with open(SERIES_PATH, "w") as handle:
-        json.dump(series, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+SERIES_FILE = "BENCH_obs.json"
 
 
 def make_session(instrumented):
@@ -89,44 +70,61 @@ def make_session(instrumented):
     return Session(metrics=NULL_METRICS, tracer=NULL_TRACER)
 
 
-def ingest_once(fleet, wire, instrumented):
-    """One full ingestion of the wire into a fresh registry; (elapsed, registry)."""
+#: Wire bytes fed per step; the two modes alternate at this grain.
+CHUNK = 64 * 1024
+
+
+def open_registry(fleet, instrumented):
+    """A fresh registry with every stream of the fleet opened."""
     registry = StreamRegistry(session=make_session(instrumented))
     for script, _ in fleet:
         (response,) = registry.handle(
             {"op": "open", "stream": script.stream, "spec": script.spec}
         )
         assert response.get("ok") == "opened", response
-    decoder = FrameDecoder()
-    started = time.perf_counter()
-    for offset in range(0, len(wire), 64 * 1024):
-        for line in decoder.feed(wire[offset:offset + 64 * 1024]):
-            registry.handle(decode_frame(line))
-    elapsed = time.perf_counter() - started
-    return elapsed, registry
+    return registry
 
 
-def ingest_interleaved(fleet, wire):
-    """Best-of-``ROUNDS`` per mode, modes interleaved within every round.
+def ingest_round(fleet, wire, round_index):
+    """One paired round: both modes ingest the whole wire into fresh
+    registries, alternating chunk by chunk and swapping which mode goes
+    first each chunk, so a slow phase of the host lands on both.  Returns
+    each mode's summed time and the instrumented registry."""
+    registries = {mode: open_registry(fleet, mode) for mode in (False, True)}
+    decoders = {mode: FrameDecoder() for mode in (False, True)}
+    spent = {False: 0.0, True: 0.0}
+    for step, offset in enumerate(range(0, len(wire), CHUNK)):
+        chunk = wire[offset:offset + CHUNK]
+        for mode in (False, True) if (step + round_index) % 2 == 0 else (True, False):
+            started = time.perf_counter()
+            for line in decoders[mode].feed(chunk):
+                registries[mode].handle(decode_frame(line))
+            spent[mode] += time.perf_counter() - started
+    return spent, registries[True]
 
-    Each round runs baseline and instrumented back-to-back (alternating
-    which goes first), so cold-start costs land on both modes evenly
-    instead of being billed entirely to whichever mode runs first.
-    Returns ``(base_s, inst_s, registry)`` with the winning instrumented
-    registry (it carries the fleet for the parity/accounting checks).
+
+def ingest_paired(fleet, wire):
+    """``ROUNDS`` paired rounds after one unrecorded warm-up round (the
+    first rounds of a process read slow for the instrumented mode).
+
+    Returns ``(base_s, inst_s, ratios, registry)``: each mode's best
+    round, the per-round ``baseline / instrumented`` ratios, and the best
+    instrumented round's registry (it carries the fleet for the
+    parity/accounting checks).
     """
     best = {False: None, True: None}
+    ratios = []
     inst_registry = None
+    ingest_round(fleet, wire, 0)
     for round_index in range(ROUNDS):
-        modes = (False, True) if round_index % 2 == 0 else (True, False)
-        for instrumented in modes:
-            elapsed, registry = ingest_once(fleet, wire, instrumented)
-            prior = best[instrumented]
-            if prior is None or elapsed < prior:
-                best[instrumented] = elapsed
-                if instrumented:
+        spent, registry = ingest_round(fleet, wire, round_index)
+        for mode in (False, True):
+            if best[mode] is None or spent[mode] < best[mode]:
+                best[mode] = spent[mode]
+                if mode:
                     inst_registry = registry
-    return best[False], best[True], inst_registry
+        ratios.append(spent[False] / spent[True])
+    return best[False], best[True], ratios, inst_registry
 
 
 def test_instrumentation_overhead(benchmark):
@@ -137,7 +135,7 @@ def test_instrumentation_overhead(benchmark):
     wire = b"".join(encode_frame(frame) for frame in frames)
 
     def sweep():
-        base_s, inst_s, registry = ingest_interleaved(fleet, wire)
+        base_s, inst_s, ratios, registry = ingest_paired(fleet, wire)
 
         snapshot = registry.metrics_snapshot()
         recorded = sum(
@@ -156,7 +154,8 @@ def test_instrumentation_overhead(benchmark):
             "rounds": ROUNDS,
             "baseline_states_per_second": round(total_states / base_s),
             "instrumented_states_per_second": round(total_states / inst_s),
-            "throughput_retention": round(base_s / inst_s, 4),
+            "throughput_retention": round(statistics.median(ratios), 4),
+            "round_ratios": [round(ratio, 4) for ratio in ratios],
             "retention_gate": MAX_OVERHEAD,
         }
         # Verdict parity in-gate: instrumentation cannot change answers.
@@ -170,8 +169,5 @@ def test_instrumentation_overhead(benchmark):
     print(row)
 
     assert row["instrumented_states_per_second"] >= FLOOR, row
-    assert (
-        row["instrumented_states_per_second"]
-        >= MAX_OVERHEAD * row["baseline_states_per_second"]
-    ), row
-    record_point("obs-overhead-v1", row)
+    assert row["throughput_retention"] >= MAX_OVERHEAD, row
+    record_point(SERIES_FILE, "obs-overhead-v1", row)

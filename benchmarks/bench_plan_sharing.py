@@ -25,7 +25,6 @@ of unpooled.  Records the ``plan-sharing-v1`` row in
 ``BENCH_sharing.json``.
 """
 
-import json
 import os
 import time
 
@@ -48,29 +47,13 @@ from repro.syntax.builder import (
 )
 from repro.systems import reliable_queue_trace
 
+from trajectory import record_point
+
 STREAMS = int(os.environ.get("BENCH_SHARING_STREAMS", "1000"))
 SPEEDUP_GATE = float(os.environ.get("BENCH_SHARING_SPEEDUP", "1.3"))
 ROUNDS = int(os.environ.get("BENCH_SHARING_ROUNDS", "3"))
 
-SERIES_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_sharing.json")
-
-
-def record_point(label, row):
-    """Append/refresh one labelled entry in the committed trajectory series."""
-    series = []
-    if os.path.exists(SERIES_PATH):
-        with open(SERIES_PATH) as handle:
-            series = json.load(handle)
-    entry = {"label": label, **row}
-    for index, existing in enumerate(series):
-        if existing.get("label") == label:
-            series[index] = entry
-            break
-    else:
-        series.append(entry)
-    with open(SERIES_PATH, "w") as handle:
-        json.dump(series, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+SERIES_FILE = "BENCH_sharing.json"
 
 
 def fifo_family(a, b):
@@ -217,4 +200,4 @@ def test_plan_sharing(benchmark):
     print(row)
 
     assert row["pool_speedup"] >= SPEEDUP_GATE, row
-    record_point("plan-sharing-v1", row)
+    record_point(SERIES_FILE, "plan-sharing-v1", row)

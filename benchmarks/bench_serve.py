@@ -34,7 +34,6 @@ environment-parameterized (``BENCH_SERVE_STREAMS``, ``BENCH_SERVE_BATCH``,
 can push the sharded fleet to 10k streams without another code path.
 """
 
-import json
 import os
 import tempfile
 import time
@@ -44,6 +43,8 @@ from repro.gen.loadgen import generate_stream_scripts
 from repro.serve.protocol import FrameDecoder, decode_frame, encode_frame
 from repro.serve.streams import SPEC_FACTORIES, StreamRegistry
 from repro.serve.worker import ShardPool
+
+from trajectory import record_point
 
 STREAMS = int(os.environ.get("BENCH_SERVE_STREAMS", "1000"))
 BATCH = int(os.environ.get("BENCH_SERVE_BATCH", "64"))
@@ -83,25 +84,7 @@ QUANTIFIED_BASELINE = float(
 #: benches' best-of-N discipline.
 ROUNDS = int(os.environ.get("BENCH_SERVE_ROUNDS", "3"))
 
-SERIES_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_serve.json")
-
-
-def record_point(label, row):
-    """Append/refresh one labelled entry in the committed trajectory series."""
-    series = []
-    if os.path.exists(SERIES_PATH):
-        with open(SERIES_PATH) as handle:
-            series = json.load(handle)
-    entry = {"label": label, **row}
-    for index, existing in enumerate(series):
-        if existing.get("label") == label:
-            series[index] = entry
-            break
-    else:
-        series.append(entry)
-    with open(SERIES_PATH, "w") as handle:
-        json.dump(series, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+SERIES_FILE = "BENCH_serve.json"
 
 
 def build_fleet(streams, seed=SEED, families=None):
@@ -225,7 +208,7 @@ def test_single_worker_sustained_throughput(benchmark):
     print(row)
 
     assert row["states_per_second"] >= TARGET_STATES_PER_SECOND, row
-    record_point("serve-v2-default-mix", row)
+    record_point(SERIES_FILE, "serve-v2-default-mix", row)
 
 
 def contiguous_append_frames(fleet, batch):
@@ -276,7 +259,7 @@ def test_quantified_only_throughput(benchmark):
         row["states_per_second"] / QUANTIFIED_BASELINE, 2
     )
     assert row["states_per_second"] >= 2 * QUANTIFIED_BASELINE, row
-    record_point("serve-quantified", row)
+    record_point(SERIES_FILE, "serve-quantified", row)
 
 
 def _drive_pool(shards, fleet, frames, plan_cache_dir, rounds=1):
@@ -360,4 +343,4 @@ def test_shard_fanout(benchmark):
     assert row["shard_speedup"] >= 0.9, row
     if os.environ.get("BENCH_SERVE_REQUIRE_SCALING") == "1" and cores >= 2:
         assert row["shard_speedup"] >= 1.15, row
-    record_point("serve-shards-v1", row)
+    record_point(SERIES_FILE, "serve-shards-v1", row)

@@ -57,6 +57,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optio
 
 from ..compile import GrowingPrefix, SpecPlan, SpecPlanState
 from ..core.specification import Specification
+from ..semantics.columns import StateBlock
 from ..semantics.state import State
 from ..semantics.trace import Trace
 from ..syntax.formulas import Formula
@@ -383,27 +384,40 @@ class Monitor:
     ) -> Dict[str, MonitorVerdict]:
         """Absorb a chunk of states, re-evaluating once at the boundary.
 
-        Sound because the incremental memo split is tail-aware: stable
-        entries are tail-independent, so appending any number of states
-        before the single re-evaluation invalidates exactly the volatile
-        entries that :meth:`~repro.compile.specplan.SpecPlanState.note_append`
-        clears (one sweep per batch), and the bitset kernel extends its
-        profiles over the whole appended window in one vectorized pass.
-        Verdict histories and ``on_change`` callbacks see one entry per
-        *batch* — send batches of one for per-state granularity.
+        ``states`` is a :class:`~repro.semantics.columns.StateBlock` (what
+        :func:`repro.serve.protocol.rows_to_states` returns) or a sequence
+        of states or plain mappings.  Sound because the incremental memo
+        split is tail-aware: stable entries are tail-independent, so
+        appending any number of states before the single re-evaluation
+        invalidates exactly the volatile entries that
+        :meth:`~repro.compile.specplan.SpecPlanState.note_append` clears
+        (one sweep per batch), and the bitset kernel extends its profiles
+        over the whole appended window in one vectorized pass.  Verdict
+        histories and ``on_change`` callbacks see one entry per *batch* —
+        send batches of one for per-state granularity.
 
         ``commits`` is the number of observation steps the batch stands
-        for: the serve layer coalesces ``k`` back-to-back frames into one
-        batch and passes ``commits=k`` so each formula's ``stable_for``
-        advances exactly as ``k`` frame-at-a-time batches would have when
-        the verdict does not flip inside the group.
+        for (see :meth:`observe_blocks`).
         """
-        if not states:
+        if not isinstance(states, StateBlock):
+            states = [s if isinstance(s, State) else State(s) for s in states]
+        return self.observe_blocks([states], commits)
+
+    def observe_blocks(
+        self, blocks: Sequence[Sequence[State]], commits: int = 1
+    ) -> Dict[str, MonitorVerdict]:
+        """Absorb several blocks back to back, re-evaluating once after the
+        last.
+
+        The serve layer coalesces ``k`` back-to-back frames into one call
+        and passes ``commits=k`` so each formula's ``stable_for`` advances
+        exactly as ``k`` frame-at-a-time batches would have when the
+        verdict does not flip inside the group.
+        """
+        if not any(len(block) for block in blocks):
             return dict(self._verdicts)
-        for state in states:
-            if not isinstance(state, State):
-                state = State(state)
-            self._prefix.append(state)
+        for block in blocks:
+            self._prefix.extend(block)
         before = self._state.stats.dispatch_calls
         self._state.note_append()
         self._refresh_verdicts(weight=commits)

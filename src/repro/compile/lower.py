@@ -301,6 +301,7 @@ def _compile_term_bits(state, kernel, tid, direction):
             if bits is None:
                 raise _ExactConstruct
             stats.event_searches += 1
+            stats.fused_searches += 1
             n = trace.length
             chg = bits & ~((bits << 1) | 1)
             if j == INFINITY:

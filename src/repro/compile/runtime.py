@@ -38,10 +38,12 @@ one appended state cost amortized O(changed work) instead of O(prefix).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from ..errors import EvaluationError, TraceError
-from ..semantics.columns import IncrementalColumnStore
+from ..semantics.columns import IncrementalColumnStore, StateBlock
 from ..semantics.construction import BOTTOM, Direction, Interval
 from ..semantics.state import State
 from ..semantics.trace import INFINITY, Trace
@@ -81,150 +83,43 @@ UNSET = object()
 _MISS = object()
 
 
-class GrowingPrefix:
+class GrowingPrefix(Trace):
     """A stutter-extended state prefix supporting O(1) appends.
 
-    Implements the position protocol of :class:`repro.semantics.trace.Trace`
-    specialized to the paper's finite-computation convention
-    (``loop_start == length``, period 1), without rebuilding the state list
-    on every appended state the way ``Trace(list(states))`` would.
+    The :class:`~repro.semantics.trace.Trace` of the paper's
+    finite-computation convention (``loop_start == length``, period 1)
+    whose length grows.  Appended rows go column-wise into an
+    :class:`~repro.semantics.columns.IncrementalColumnStore` — the
+    substrate the :class:`~repro.compile.vector.BitsetKernel` extends its
+    truth profiles over, and the source of the value universe — and
+    ``State`` rows are lazy views materialised from those columns.
     """
 
-    __slots__ = (
-        "_states",
-        "_universe",
-        "_universe_seen",
-        "_universe_built_to",
-        "_column_store",
-    )
+    __slots__ = ()
+    period = 1  # the last state repeats
 
     def __init__(self) -> None:
-        self._states: List[State] = []
-        self._universe: List[Any] = []
-        # Companion set for O(1) membership on hashable values; the list
-        # keeps the deterministic observation order Trace.value_universe has.
-        self._universe_seen: set = set()
-        # Universe maintenance is lazy (cursor catch-up on value_universe):
-        # plans with no quantifier never pay for it.
-        self._universe_built_to = 0
-        # Lazy incremental column store (built on first `columns` access,
-        # then caught up per append): the bitset kernel's substrate.
-        self._column_store: Optional[IncrementalColumnStore] = None
+        self._store = IncrementalColumnStore()
+        self._materialized = []
+        self._length = self._loop_start = 0
 
     def append(self, state: State) -> None:
-        if not isinstance(state, State):
-            raise TraceError(
-                f"trace element {len(self._states)} is not a State: "
-                f"{type(state).__name__}"
-            )
-        if not self._states:
-            values = dict(state.values_map)
-            values["__start__"] = True
-            state = State(values, state.operations)
-        elif "__start__" not in state:
-            values = dict(state.values_map)
-            values["__start__"] = False
-            state = State(values, state.operations)
-        self._states.append(state)
+        self.extend((state,))
 
-    # -- Trace position protocol --------------------------------------------
-
-    @property
-    def length(self) -> int:
-        return len(self._states)
-
-    @property
-    def loop_start(self) -> int:
-        return len(self._states)
-
-    @property
-    def period(self) -> int:
-        return 1
-
-    def states(self) -> Tuple[State, ...]:
-        return tuple(self._states)
-
-    def canonical(self, position: Position) -> int:
-        if position == INFINITY:
-            raise TraceError("cannot canonicalize the infinite position")
-        pos = int(position)
-        if pos < 1:
-            raise TraceError(f"positions are 1-based, got {pos}")
-        n = len(self._states)
-        return pos if pos <= n else n
-
-    def state_at(self, position: Position) -> State:
-        return self._states[self.canonical(position) - 1]
-
-    def suffix_representatives(self, start: Position, end: Position) -> List[int]:
-        if start == INFINITY:
-            raise TraceError("context cannot start at infinity")
-        lo = int(start)
-        if end != INFINITY:
-            return list(range(lo, int(end) + 1))
-        n = len(self._states)
-        if lo >= n:
-            return [lo]
-        return list(range(lo, n + 1))
-
-    def scan_bound(self, start: Position, end: Position) -> int:
-        if end != INFINITY:
-            return int(end)
-        return max(int(start), len(self._states)) + 1
-
-    def repeats_forever(self, position: Position) -> bool:
-        if position == INFINITY:
-            return True
-        return int(position) >= len(self._states)
-
-    def value_universe(self) -> Tuple[Any, ...]:
-        states = self._states
-        built = self._universe_built_to
-        if built < len(states):
-            universe = self._universe
-            seen = self._universe_seen
-            for index in range(built, len(states)):
-                for value in states[index].observed_values():
-                    try:
-                        if value in seen:
-                            continue
-                        seen.add(value)
-                    except TypeError:
-                        if value in universe:  # unhashable: linear fallback
-                            continue
-                    universe.append(value)
-            self._universe_built_to = len(states)
-        return tuple(self._universe)
-
-    @property
-    def columns(self) -> IncrementalColumnStore:
-        """The prefix's dictionary-encoded columns, caught up to its length.
-
-        Built on first access (per-append absorption costs nothing until a
-        vectorized plan state actually reads columns), then extended one
-        state at a time — the substrate the
-        :class:`~repro.compile.vector.BitsetKernel` extends its truth
-        profiles over.
-        """
-        store = self._column_store
-        if store is None:
-            store = self._column_store = IncrementalColumnStore()
-        states = self._states
-        while store.length < len(states):
-            store.absorb(states[store.length])
-        return store
+    def extend(self, states: Union[StateBlock, Sequence[State]]) -> None:
+        """Append a block (or a sequence of states) in one column-wise pass."""
+        if not isinstance(states, StateBlock):
+            states = StateBlock.from_states(states, first_index=self._length)
+        self._store.absorb(states)
+        self._materialized.extend([None] * len(states))
+        self._length = self._loop_start = self._store.length
 
     def reset(self) -> None:
-        """Forget every observed state (plan-state pool reuse).
-
-        Containers are cleared *in place*, never replaced — the lowered
-        closures and the bitset kernel capture this exact object.
-        """
-        self._states.clear()
-        self._universe.clear()
-        self._universe_seen.clear()
-        self._universe_built_to = 0
-        self._column_store = None
+        """Forget every observed state (plan-state pool reuse).  The prefix
+        object survives: lowered closures and the kernel capture it."""
+        self._store = IncrementalColumnStore()
+        self._materialized.clear()
+        self._length = self._loop_start = 0
 
 
 class EventIndex:
@@ -328,22 +223,23 @@ class PlanStats:
 
     ``event_searches`` counts *actual* event searches — memo hits (stable
     or volatile) don't increment it, so a monitor whose appends only redo
-    tail-dependent work shows a flat per-step search count.
+    tail-dependent work shows a flat per-step search count.  The four
+    route counters split it by the route that answered: the fused bit
+    closures of :mod:`repro.compile.lower` (growing prefixes), a
+    kernel-built :class:`EventIndex`, a per-state one, or the scan.
     """
 
-    __slots__ = ("dispatch_calls", "steps", "event_searches")
+    __slots__ = (
+        "dispatch_calls", "steps", "event_searches", "fused_searches",
+        "kernel_index_searches", "state_index_searches", "scan_searches",
+    )
 
     def __init__(self) -> None:
-        self.dispatch_calls = 0
-        self.steps = 0
-        self.event_searches = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "dispatch_calls": self.dispatch_calls,
-            "steps": self.steps,
-            "event_searches": self.event_searches,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class PlanState:
@@ -420,7 +316,8 @@ class PlanState:
         # profiles on a static Trace, window-extended profiles on a growing
         # prefix (the batched tail-window vectorization).
         self._kernel: Optional[BitsetKernel] = None
-        if vectorize and isinstance(trace, GrowingPrefix if incremental else Trace):
+        growing = isinstance(trace, GrowingPrefix)
+        if vectorize and isinstance(trace, Trace) and growing == incremental:
             self._kernel = BitsetKernel(self, trace)
         # Closure-lowered dispatch: one bound closure per plan node, built
         # once per state (see repro.compile.lower).
@@ -1078,7 +975,12 @@ class PlanState:
         if node.is_state:
             index = self._index_for(event_nid, node)
             if index is not None:
+                if index._eval is None:
+                    self.stats.kernel_index_searches += 1
+                else:
+                    self.stats.state_index_searches += 1
                 return self._find_event_indexed(index, i, j, bound, direction)
+        self.stats.scan_searches += 1
         return self._find_event_scan(event_nid, i, j, bound, direction)
 
     def _find_event_indexed(

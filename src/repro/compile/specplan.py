@@ -289,18 +289,17 @@ class SpecPlanState:
         self._state.note_append()
 
     def append_batch(self, states: Sequence[Any]) -> None:
-        """Absorb a multi-state window in one memo sweep.
+        """Absorb a multi-state window (a ``StateBlock`` or a sequence of
+        states) in one column-wise pass and one memo sweep.
 
-        All states land on the prefix first; the volatile/aggregator memo
-        split is then updated **once** for the whole window (and the tail
-        kernel extends each touched profile in one vectorized pass), which
-        is what makes batched appends cheaper than repeated single-state
-        :meth:`append` calls — verdicts afterwards are identical.
+        The volatile/aggregator memo split is updated **once** for the
+        whole window (and the kernel extends each touched profile in one
+        vectorized pass), which is what makes batched appends cheaper than
+        repeated single-state :meth:`append` calls — verdicts afterwards
+        are identical.
         """
-        trace = self._state.trace
-        for state in states:
-            trace.append(state)
         if states:
+            self._state.trace.extend(states)
             self._state.note_append(len(states))
 
     def note_append(self, count: int = 1) -> None:

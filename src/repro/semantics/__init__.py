@@ -4,7 +4,7 @@ States, traces, the interval construction function ``F``, the satisfaction
 relation, and the Appendix A reduction of the ``*`` interval-term modifier.
 """
 
-from .columns import Column, ColumnStore, OperationColumn
+from .columns import Column, ColumnStore, OperationColumn, StateBlock
 from .construction import BOTTOM, Direction, Interval, IntervalConstructor
 from .evaluator import Evaluator, holds_on_context, satisfies
 from .reduction import (
@@ -21,6 +21,7 @@ __all__ = [
     "Column",
     "ColumnStore",
     "OperationColumn",
+    "StateBlock",
     "BOTTOM",
     "Direction",
     "Interval",

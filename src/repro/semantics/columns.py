@@ -1,25 +1,19 @@
 """Column-major trace storage: dictionary-encoded per-variable columns.
 
 The paper's satisfaction relation sweeps a state sequence, and almost every
-question the compiled runtime asks of that sequence is *per variable*, not
-per state: "where does ``x == c`` hold", "where is operation ``O`` at its
-entry point", "which non-boolean values were ever observed".  Storing the
-trace row-major — one dict-backed :class:`~repro.semantics.state.State` per
-position — makes each of those questions an O(n) Python-object walk.
-
-A :class:`ColumnStore` turns the same data column-major, built in **one**
-pass over the source states:
-
-* one :class:`Column` per state variable — a stdlib ``array`` of small
-  integer codes into a per-column interned value list (dictionary
-  encoding), so booleans, enums and repeated non-scalar values all store as
-  machine integers;
-* one :class:`OperationColumn` per operation name, dictionary-encoding the
-  (phase, args, results) records the same way;
-* the ``__start__`` marking of the Init-clause ``start`` predicate done
-  columnwise (one code write) instead of rebuilding the first state;
-* the trace's observed value universe, deduplicated through a set during
-  the same pass (replacing the quadratic ``value not in seen`` list scan).
+question the compiled runtime asks of it is *per variable*: "where does
+``x == c`` hold", "where is operation ``O`` at its entry point", "which
+non-boolean values were ever observed".  So every source of states — wire
+rows (:func:`repro.serve.protocol.rows_to_states`) and ``State`` lists
+alike — goes through **one** column-wise builder into a :class:`StateBlock`:
+one :class:`Column` per state variable (a stdlib ``array`` of small codes
+into an interned value list, filled by one interning pass), one
+:class:`OperationColumn` per operation name (one
+:class:`~repro.semantics.state.OperationRecord` per distinct record), and
+the observed value universe.  A :class:`~repro.semantics.trace.Trace`
+adopts the block's :class:`ColumnStore` plus a ``__start__`` column; a
+monitored stream's :class:`IncrementalColumnStore` remaps each block's
+codes into its own dictionaries.  ``State`` rows are lazy views only.
 
 Each column owns one packed-int **bitset** per code (bit ``c`` = concrete
 position ``c + 1``), extended in place as the column grows; operation
@@ -34,8 +28,12 @@ O(n + codes·n/8) rather than O(n²/wordsize) of repeated big-int shifting.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from itertools import chain, islice
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ..errors import TraceError
 from .state import OperationRecord, State
 
 __all__ = [
@@ -44,6 +42,7 @@ __all__ = [
     "OperationColumn",
     "ColumnStore",
     "IncrementalColumnStore",
+    "StateBlock",
 ]
 
 
@@ -62,6 +61,10 @@ _MAX_BITSET_BYTES = 8_000_000
 #: per-code buffers.
 _SHIFT_WINDOW = 64
 
+#: A row's entry in a column's value list when the row does not bind it.
+_GAP = object()
+
+
 
 def _intern(
     value: Any,
@@ -73,9 +76,7 @@ def _intern(
 
     Distinctness follows ``dict`` key semantics (``1``, ``1.0`` and ``True``
     share a code — consistent with ``==`` everywhere the codes are compared);
-    unhashable values fall back to a linear scan over their own codes, the
-    same convention :class:`repro.compile.runtime.GrowingPrefix` uses for
-    its value universe.
+    unhashable values fall back to a linear scan over their own codes.
     """
     try:
         code = code_of.get(value)
@@ -117,18 +118,27 @@ class _ColumnBase:
     dropped for good and :meth:`code_bitsets` answers ``None``.
     """
 
-    __slots__ = ("name", "codes", "values", "missing", "_bitsets", "_bits_to")
+    __slots__ = ("name", "codes", "values", "missing", "has_bool", "_bitsets", "_bits_to")
 
     def __init__(self, name: str, prefix_length: int = 0) -> None:
         self.name = name
         self.codes: "array" = array("l", [ABSENT]) * prefix_length
         self.values: List[Any] = []
         self.missing = prefix_length > 0
+        #: Some value is a bool (or, for operations, some record holds one).
+        self.has_bool = False
         self._bitsets: Optional[List[int]] = []
         self._bits_to = 0
 
     def __len__(self) -> int:
         return len(self.codes)
+
+    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
+        # Pickles ship codes and values; the bitset table rebuilds on demand.
+        slots = [slot for cls in type(self).__mro__ for slot in getattr(cls, "__slots__", ())]
+        state = {slot: getattr(self, slot) for slot in slots}
+        state.update(_bitsets=[], _bits_to=0)
+        return None, state
 
     def value_at(self, index: int) -> Tuple[bool, Any]:
         """``(present, value)`` at 0-based concrete index."""
@@ -166,19 +176,11 @@ class _ColumnBase:
         self._bits_to = stop
         return bitsets
 
-    def pad(self) -> None:
-        """Mark the next position as not binding this column."""
-        self.codes.append(ABSENT)
-        self.missing = True
-
 
 class Column(_ColumnBase):
     """Dictionary-encoded values of one state variable across a trace."""
 
     __slots__ = ()
-
-    def append(self, value: Any, code_of: Dict[Any, int], unhashable: List[int]) -> None:
-        self.codes.append(_intern(value, self.values, code_of, unhashable))
 
 
 class OperationColumn(_ColumnBase):
@@ -212,72 +214,211 @@ class OperationColumn(_ColumnBase):
         return by_args
 
 
-def _absorb_row(
-    index: int,
-    state: State,
-    columns: Dict[str, Column],
-    interns: Dict[str, Tuple[Dict[Any, int], List[int]]],
-    op_columns: Dict[str, OperationColumn],
-    op_interns: Dict[str, Tuple[Dict[Any, int], List[int]]],
+def _extend(
+    column: _ColumnBase,
+    interns: Tuple[Dict[Any, int], List[int]],
+    raw: Sequence[Any],
+    is_op: bool,
+) -> Optional[List[int]]:
+    """Append one code per row of ``raw`` (``_GAP`` where the row does not
+    bind the column) in one interning pass through ``code_of``.  Returns
+    the rows where new codes first occur, or ``None`` after the per-value
+    fallback for unhashable values."""
+    code_of, unhashable = interns
+    values = column.values
+    before, start = len(code_of), len(values)
+    try:
+        # A new value's provisional code is ``start`` + its first row: above
+        # every known code, and already final when new values first occur
+        # at rows 0, 1, ...; the dict lists new values in first-seen order.
+        provisional = list(map(code_of.setdefault, raw, range(start, start + len(raw))))
+    except TypeError:
+        while len(code_of) > before:
+            code_of.popitem()
+        column.codes.extend([_intern(value, values, code_of, unhashable) for value in raw])
+        new, firsts = values[start:], None
+    else:
+        if len(code_of) == before:
+            column.codes.fromlist(provisional)
+            return []
+        new = list(islice(reversed(code_of), len(code_of) - before))[::-1]
+        firsts = [code_of[value] - start for value in new]
+        if firsts != list(range(len(new))):
+            renumber = {code_of[value]: start + i for i, value in enumerate(new)}
+            provisional = list(map(renumber.get, provisional, provisional))
+        for code, value in enumerate(new, start):
+            code_of[value] = code
+        values.extend(new)
+        column.codes.fromlist(provisional)
+    if is_op:
+        values[start:] = [OperationRecord(*key) for key in new]
+    column.has_bool = column.has_bool or any(
+        type(v) is bool for key in new for v in (key[1] + key[2] if is_op else (key,))
+    )
+    return firsts
+
+
+def _fill(
+    store: "ColumnStore",
+    interns: Dict[Any, Any],
+    value_maps: Sequence[Mapping[str, Any]],
+    op_maps: Sequence[Mapping[str, Tuple[str, tuple, tuple]]],
+    universe: Optional[Tuple[List[Any], List[int]]] = None,
 ) -> None:
-    """Append state ``index``'s values and operations to every column,
-    padding the columns it does not bind with ``ABSENT``."""
-    for name, value in state.raw_values.items():
-        column = columns.get(name)
-        if column is None:
-            column = columns[name] = Column(name, prefix_length=index)
-            interns[name] = ({}, [])
-        code_of, unhashable = interns[name]
-        column.append(value, code_of, unhashable)
-    for name, record in state.raw_operations.items():
-        op_column = op_columns.get(name)
-        if op_column is None:
-            op_column = op_columns[name] = OperationColumn(name, prefix_length=index)
-            op_interns[name] = ({}, [])
-        code_of, unhashable = op_interns[name]
-        op_column.codes.append(_intern(record, op_column.values, code_of, unhashable))
-    filled = index + 1
-    for column in columns.values():
-        if len(column.codes) < filled:
-            column.pad()
-    for op_column in op_columns.values():
-        if len(op_column.codes) < filled:
-            op_column.pad()
+    """The column-wise builder: append rows to ``store``, one interning
+    pass per column through its ``(code_of, unhashable)`` pair in
+    ``interns`` (variable columns by name under ``False``, operation
+    columns under ``True``, the value universe under ``None``).
+
+    The universe gains each new non-boolean value in row-major
+    first-observation order (a row's variables in key order, then each
+    operation's args and results) unless ``universe`` gives the entries.
+    A value first observed at row ``p`` is a new code there, so only such
+    rows are read — or every row, where a ``1`` may hide under a ``True``
+    code or values are unhashable.
+    """
+    offset, n = store.length, len(value_maps)
+    names = list(value_maps[0]) if n else []
+    raws = None
+    if sum(map(len, value_maps)) == n * len(names):
+        try:  # every row binds exactly the first row's variables
+            if 1 < len(names) and n <= 1024:  # one transposing pass
+                raws = list(zip(*map(itemgetter(*names), value_maps)))
+            else:
+                raws = [list(map(itemgetter(name), value_maps)) for name in names]
+        except KeyError:
+            pass
+    ragged = raws is None
+    if ragged:
+        names = list(dict.fromkeys(name for values in value_maps for name in values))
+        raws = [[values.get(name, _GAP) for values in value_maps] for name in names]
+    op_names: List[str] = []
+    if any(op_maps):
+        op_names = list(dict.fromkeys(name for ops in op_maps for name in ops))
+    first_rows: set = set()
+    bool_raws: List[List[Any]] = []  # where a 1 may hide under a True code
+    for is_op, columns, kind, block_names in (
+        (False, store._columns, Column, names),
+        (True, store._op_columns, OperationColumn, op_names),
+    ):
+        kind_interns = interns[is_op]
+        for index, name in enumerate(block_names):
+            raw = [ops.get(name, _GAP) for ops in op_maps] if is_op else raws[index]
+            column = columns.get(name)
+            if column is None:
+                column = columns[name] = kind(name, prefix_length=offset)
+                kind_interns[name] = ({_GAP: ABSENT}, [])
+            firsts = _extend(column, kind_interns[name], raw, is_op)
+            if is_op or ragged:
+                column.missing = column.missing or ABSENT in column.codes[offset:]
+            if firsts is None or is_op and column.has_bool:
+                first_rows.update(range(n))
+                continue
+            if column.has_bool:
+                bool_raws.append(raw)
+            if firsts:
+                new = column.values[len(column.values) - len(firsts):]
+                first_rows.update(
+                    at for at, value in zip(firsts, new) if is_op or type(value) is not bool
+                )
+        if len(columns) > len(block_names):
+            for column in columns.values():
+                if len(column.codes) < offset + n:
+                    column.codes.extend(array("l", [ABSENT]) * n)
+                    column.missing = True
+    if bool_raws and not {bool, object}.issuperset(
+        map(type, chain.from_iterable(bool_raws))
+    ):
+        first_rows.update(range(n))
+    code_of, unhashable = interns[None]
+    universe_values, universe_at = store._universe, store._universe_at
+    observed: Iterable[Tuple[Any, int]] = zip(*universe) if universe else ()
+    for value, at in observed:
+        if _intern(value, universe_values, code_of, unhashable) == len(universe_at):
+            universe_at.append(offset + at)
+    for at in () if universe else sorted(first_rows):
+        row = list(value_maps[at].values())
+        for _, args, results in op_maps[at].values():
+            row += args + results
+        for value in row:
+            try:
+                if type(value) is bool or value in code_of:
+                    continue
+            except TypeError:  # unhashable: ``_intern`` compares by ``==``
+                pass
+            if _intern(value, universe_values, code_of, unhashable) == len(universe_at):
+                universe_at.append(offset + at)
+    store.length += n
 
 
-class IncrementalColumnStore:
-    """The column-major form of a *growing* state prefix, fed one state at
-    a time.
+def _mark_start(
+    column: Column, code_of: Dict[Any, int], unhashable: List[int], begin: int
+) -> None:
+    """Init-clause marking of the ``__start__`` column from ``begin`` on:
+    position 0 reads ``True`` whatever the source said, and every other
+    position without a value reads ``False``."""
+    codes = column.codes
+    if begin == 0:
+        codes[0] = _intern(True, column.values, code_of, unhashable)
+        begin = 1
+    window = codes[begin:]
+    if ABSENT in window:
+        false = _intern(False, column.values, code_of, unhashable)
+        if window.count(ABSENT) == len(window):
+            codes[begin:] = array("l", [false]) * len(window)
+        else:
+            codes[begin:] = array("l", [false if c == ABSENT else c for c in window])
+    column.missing = False
 
-    The per-state twin of :class:`ColumnStore` (both absorb rows through
-    one helper): the incremental monitors'
-    :class:`~repro.compile.runtime.GrowingPrefix` absorbs each appended
-    state into the same dictionary-encoded :class:`Column` /
-    :class:`OperationColumn` objects (``ABSENT`` padding included).  Each
-    column's per-code bitsets extend over just the appended window on the
-    next :meth:`~_ColumnBase.code_bitsets` call, so the bitset kernel
-    (:class:`~repro.compile.vector.BitsetKernel`) reads a growing column
-    exactly as it reads a static one.  No ``__start__`` marking happens
-    here — ``GrowingPrefix.append`` injects it into the state rows before
-    they arrive.
+
+class ColumnStore:
+    """The column-major form of a run of states (filled by :func:`_fill`).
+
+    A :class:`~repro.semantics.trace.Trace` holds its block's store plus
+    the ``__start__`` column (:meth:`marked`).  ``value_universe()`` comes
+    from the source rows, before marking.
     """
 
-    __slots__ = ("length", "_columns", "_op_columns", "_interns", "_op_interns")
+    __slots__ = ("length", "_columns", "_op_columns", "_universe", "_universe_at")
 
-    def __init__(self) -> None:
-        self.length = 0
-        self._columns: Dict[str, Column] = {}
-        self._op_columns: Dict[str, OperationColumn] = {}
-        self._interns: Dict[str, Tuple[Dict[Any, int], List[int]]] = {}
-        self._op_interns: Dict[str, Tuple[Dict[Any, int], List[int]]] = {}
+    def __init__(
+        self,
+        length: int,
+        columns: Dict[str, Column],
+        op_columns: Dict[str, OperationColumn],
+        universe: Sequence[Any],
+        universe_at: Sequence[int],  # the row observing each universe value first
+    ) -> None:
+        self.length = length
+        self._columns = columns
+        self._op_columns = op_columns
+        self._universe = universe
+        self._universe_at = universe_at
 
-    def absorb(self, state: State) -> None:
-        """Append one state's values/operations to every column (padded)."""
-        _absorb_row(
-            self.length, state, self._columns, self._interns,
-            self._op_columns, self._op_interns,
+    def marked(self) -> "ColumnStore":
+        """This store plus the ``__start__`` column; the other columns are
+        shared, a source ``__start__`` column is copied first."""
+        columns = dict(self._columns)
+        start = columns["__start__"] = Column("__start__", prefix_length=self.length)
+        code_of: Dict[Any, int] = {}
+        unhashable: List[int] = []
+        source = self._columns.get("__start__")
+        if source is not None:
+            start.codes = array("l", source.codes)
+            for value in source.values:
+                _intern(value, start.values, code_of, unhashable)
+        _mark_start(start, code_of, unhashable, 0)
+        return ColumnStore(
+            self.length, columns, self._op_columns, self._universe, self._universe_at
         )
-        self.length += 1
+
+    @property
+    def columns(self) -> Dict[str, Column]:
+        return self._columns
+
+    @property
+    def op_columns(self) -> Dict[str, OperationColumn]:
+        return self._op_columns
 
     def column(self, name: str) -> Optional[Column]:
         return self._columns.get(name)
@@ -285,163 +426,123 @@ class IncrementalColumnStore:
     def op_column(self, name: str) -> Optional[OperationColumn]:
         return self._op_columns.get(name)
 
-
-class ColumnStore:
-    """The column-major form of one trace, built lazily in a single pass.
-
-    Parameters
-    ----------
-    source_states:
-        The trace's concrete states, **without** ``__start__`` injection —
-        marking happens columnwise here.
-    mark_start:
-        Mirror of ``Trace(mark_start=...)``: when true, position 1 gets
-        ``__start__ = True`` (overriding any source value, as the eager
-        marking did) and every other position missing it gets ``False``.
-    """
-
-    __slots__ = ("length", "_source", "_mark_start", "_columns", "_op_columns", "_universe")
-
-    def __init__(self, source_states: Sequence[State], mark_start: bool) -> None:
-        self.length = len(source_states)
-        self._source: Optional[Sequence[State]] = source_states
-        self._mark_start = mark_start
-        self._columns: Optional[Dict[str, Column]] = None
-        self._op_columns: Optional[Dict[str, OperationColumn]] = None
-        self._universe: Optional[Tuple[Any, ...]] = None
-
-    # -- the single build pass ----------------------------------------------
-
-    def _build(self) -> None:
-        columns: Dict[str, Column] = {}
-        interns: Dict[str, Tuple[Dict[Any, int], List[int]]] = {}
-        op_columns: Dict[str, OperationColumn] = {}
-        op_interns: Dict[str, Tuple[Dict[Any, int], List[int]]] = {}
-        universe: List[Any] = []
-        seen: set = set()
-        unhashable_seen: List[Any] = []
-        for index, state in enumerate(self._source or ()):
-            _absorb_row(index, state, columns, interns, op_columns, op_interns)
-            for value in state.observed_values():
-                try:
-                    if value in seen:
-                        continue
-                    seen.add(value)
-                except TypeError:
-                    if value in unhashable_seen:  # unhashable: linear fallback
-                        continue
-                    unhashable_seen.append(value)
-                universe.append(value)
-        if self._mark_start and self.length:
-            start = columns.get("__start__")
-            if start is None:
-                start = columns["__start__"] = Column("__start__", prefix_length=self.length)
-                interns["__start__"] = ({}, [])
-            code_of, unhashable = interns["__start__"]
-            # Position 1 is always True (the eager marking overrode the
-            # source value there too); other positions default to False.
-            start.codes[0] = _intern(True, start.values, code_of, unhashable)
-            false_code: Optional[int] = None
-            for i in range(1, self.length):
-                if start.codes[i] == ABSENT:
-                    if false_code is None:
-                        false_code = _intern(False, start.values, code_of, unhashable)
-                    start.codes[i] = false_code
-            start.missing = any(code == ABSENT for code in start.codes)
-        self._columns = columns
-        self._op_columns = op_columns
-        self._universe = tuple(universe)
-        self._source = None  # the states are no longer needed here
-
-    def _ensure(self) -> None:
-        if self._columns is None:
-            self._build()
-
-    # -- accessors -----------------------------------------------------------
-
-    @property
-    def columns(self) -> Dict[str, Column]:
-        self._ensure()
-        return self._columns  # type: ignore[return-value]
-
-    @property
-    def op_columns(self) -> Dict[str, OperationColumn]:
-        self._ensure()
-        return self._op_columns  # type: ignore[return-value]
-
-    def column(self, name: str) -> Optional[Column]:
-        self._ensure()
-        return self._columns.get(name)  # type: ignore[union-attr]
-
-    def op_column(self, name: str) -> Optional[OperationColumn]:
-        self._ensure()
-        return self._op_columns.get(name)  # type: ignore[union-attr]
-
     def value_universe(self) -> Tuple[Any, ...]:
         """Distinct observed non-boolean values, in first-observation order."""
-        self._ensure()
-        return self._universe  # type: ignore[return-value]
-
-    # -- row reconstruction (the lazy State view) ----------------------------
+        return tuple(self._universe)
 
     def state_values(self, index: int) -> Dict[str, Any]:
         """The variable assignment of concrete state ``index`` (0-based)."""
-        self._ensure()
         out: Dict[str, Any] = {}
-        for name, column in self._columns.items():  # type: ignore[union-attr]
-            present, value = column.value_at(index)
-            if present:
-                out[name] = value
+        for name, column in self._columns.items():
+            code = column.codes[index]
+            if code >= 0:
+                out[name] = column.values[code]
         return out
 
     def state_operations(self, index: int) -> Dict[str, OperationRecord]:
-        self._ensure()
         out: Dict[str, OperationRecord] = {}
-        for name, column in self._op_columns.items():  # type: ignore[union-attr]
-            present, record = column.value_at(index)
-            if present:
-                out[name] = record
+        for name, column in self._op_columns.items():
+            code = column.codes[index]
+            if code >= 0:
+                out[name] = column.values[code]
         return out
 
-    # -- pickling -------------------------------------------------------------
+    def state(self, index: int) -> State:
+        """The row view of concrete state ``index`` (0-based)."""
+        return State._adopt(self.state_values(index), self.state_operations(index))
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # Ship the built columns (compact arrays + interned values), never
-        # the source State objects: this is the zero-copy worker handoff.
-        self._ensure()
-        return {
-            "length": self.length,
-            "columns": [
-                (c.name, c.codes.tobytes(), c.values, c.missing)
-                for c in self._columns.values()  # type: ignore[union-attr]
-            ],
-            "op_columns": [
-                (c.name, c.codes.tobytes(), c.values, c.missing)
-                for c in self._op_columns.values()  # type: ignore[union-attr]
-            ],
-            "universe": self._universe,
-        }
 
-    def __setstate__(self, payload: Dict[str, Any]) -> None:
-        self.length = payload["length"]
-        self._source = None
-        self._mark_start = False  # marking is already in the columns
-        self._universe = payload["universe"]
-        columns: Dict[str, Column] = {}
-        for name, raw, values, missing in payload["columns"]:
-            column = Column(name)
-            column.codes = array("l")
-            column.codes.frombytes(raw)
-            column.values = values
-            column.missing = missing
-            columns[name] = column
-        self._columns = columns
-        op_columns: Dict[str, OperationColumn] = {}
-        for name, raw, values, missing in payload["op_columns"]:
-            column = OperationColumn(name)
-            column.codes = array("l")
-            column.codes.frombytes(raw)
-            column.values = values
-            column.missing = missing
-            op_columns[name] = column
-        self._op_columns = op_columns
+class IncrementalColumnStore(ColumnStore):
+    """The columns of a growing prefix, a block at a time: rows interned
+    straight into this store's dictionaries, ``__start__`` marked.  Per-code
+    bitsets extend over the appended window on their next read, so the
+    kernel reads a growing column as it reads a static one.
+    """
+
+    __slots__ = ("_interns",)
+
+    def __init__(self) -> None:
+        super().__init__(0, {}, {}, [], [])
+        self._interns: Dict[Any, Any] = {False: {}, True: {}, None: ({}, [])}
+
+    def absorb(self, block: "StateBlock") -> None:
+        """Append every row of ``block``."""
+        offset = self.length
+        _fill(self, self._interns, *block.rows)
+        if self.length == offset:
+            return
+        if offset == 0 and "__start__" not in self._columns:
+            self._columns["__start__"] = Column("__start__", prefix_length=self.length)
+            self._interns[False]["__start__"] = ({_GAP: ABSENT}, [])
+        _mark_start(self._columns["__start__"], *self._interns[False]["__start__"], offset)
+
+    def block(self, start: int, stop: int) -> "StateBlock":
+        """Rows ``start..stop-1`` as a standalone block (their values and
+        the universe entries first observed there): absorbing
+        ``block(0, a)``, ``block(a, b)``, ... in order rebuilds this store."""
+        lo = bisect_left(self._universe_at, start)
+        hi = bisect_left(self._universe_at, stop)
+        positions = range(start, stop)
+        return StateBlock(
+            [self.state_values(i) for i in positions],
+            [
+                {name: (op.phase, op.args, op.results) for name, op in ops.items()}
+                for ops in map(self.state_operations, positions)
+            ],
+            (self._universe[lo:hi], [at - start for at in self._universe_at[lo:hi]]),
+        )
+
+
+class StateBlock(Sequence[State]):
+    """Validated rows as variable maps plus ``(phase, args, results)``
+    operation maps: what :func:`repro.serve.protocol.rows_to_states`
+    returns.  A growing prefix interns the rows straight into its own
+    columns; :attr:`store` builds the block's own (unmarked) columns on
+    first use, which a ``Trace`` adopts and the ``State`` views read.
+    """
+
+    __slots__ = ("rows", "_store", "_views")
+
+    def __init__(
+        self,
+        value_maps: Sequence[Mapping[str, Any]],
+        op_maps: Sequence[Mapping[str, Tuple[str, tuple, tuple]]],
+        universe: Optional[Tuple[List[Any], List[int]]] = None,
+    ) -> None:
+        self.rows = (value_maps, op_maps, universe)
+        self._store: Optional[ColumnStore] = None
+        self._views: List[Optional[State]] = [None] * len(value_maps)
+
+    @property
+    def store(self) -> ColumnStore:
+        if self._store is None:
+            self._store = ColumnStore(0, {}, {}, [], [])
+            _fill(self._store, {False: {}, True: {}, None: ({}, [])}, *self.rows)
+        return self._store
+
+    @classmethod
+    def from_states(cls, states: Iterable[State], first_index: int = 0) -> "StateBlock":
+        """A block of ``State`` objects; ``TraceError`` on anything else,
+        naming its index counted from ``first_index``."""
+        states = list(states)
+        for index, state in enumerate(states):
+            if not isinstance(state, State):
+                raise TraceError(
+                    f"trace element {first_index + index} is not a State: "
+                    f"{type(state).__name__}"
+                )
+        return cls([state.raw_values for state in states], [
+            {name: (op.phase, op.args, op.results) for name, op in state.raw_operations.items()}
+            for state in states
+        ])
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._views)))]
+        view = self._views[index]
+        if view is None:
+            view = self._views[index] = self.store.state(index)
+        return view

@@ -72,13 +72,13 @@ class OperationRecord(Mapping[str, Any]):
         return 3
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OperationRecord):
+        # A record equals its ``(phase, args, results)`` key tuple too (same
+        # hash): column dictionaries intern either form.
+        if isinstance(other, OperationRecord):
+            other = (other._phase, other._args, other._results)
+        elif not isinstance(other, tuple):
             return NotImplemented
-        return (
-            self._phase == other._phase
-            and self._args == other._args
-            and self._results == other._results
-        )
+        return (self._phase, self._args, self._results) == other
 
     def __hash__(self) -> int:
         return hash((self._phase, self._args, self._results))
@@ -144,14 +144,19 @@ class State(Mapping[str, Any]):
         """Operation records keyed by operation name."""
         return dict(self._operations)
 
+    @classmethod
+    def _adopt(cls, values: Dict[str, Any], operations: Dict[str, OperationRecord]) -> "State":
+        """A state over the caller's dicts, uncopied: the column row views."""
+        state = cls.__new__(cls)
+        state._values = values
+        state._operations = operations
+        state._hash = None
+        return state
+
     @property
     def raw_values(self) -> Mapping[str, Any]:
-        """The internal value mapping, uncopied — treat as read-only.
-
-        The columnar trace build (:mod:`repro.semantics.columns`) walks
-        every state once; the defensive copies of :attr:`values_map` /
-        :attr:`operations` would double that pass's allocation for nothing.
-        """
+        """The internal value mapping, uncopied — treat as read-only (the
+        column builder reads every state once)."""
         return self._values
 
     @property
@@ -217,14 +222,3 @@ class State(Mapping[str, Any]):
             if record.phase != OpPhase.IDLE:
                 parts.append(f"{record.phase} {name}{record.args!r}")
         return f"State({', '.join(parts)})"
-
-    def observed_values(self) -> Tuple[Any, ...]:
-        """All values mentioned by this state (used to build quantifier domains)."""
-        seen = []
-        for value in self._values.values():
-            if not isinstance(value, bool):
-                seen.append(value)
-        for record in self._operations.values():
-            seen.extend(record.args)
-            seen.extend(record.results)
-        return tuple(seen)

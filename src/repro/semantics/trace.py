@@ -22,7 +22,7 @@ import math
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import TraceError
-from .columns import ColumnStore
+from .columns import ColumnStore, StateBlock
 from .state import State
 
 __all__ = ["INFINITY", "Trace", "make_trace", "boolean_trace"]
@@ -37,7 +37,10 @@ class Trace:
     Parameters
     ----------
     states:
-        The concrete states ``s_1 ... s_n`` (at least one required).
+        The concrete states ``s_1 ... s_n`` (at least one required): a
+        :class:`~repro.semantics.columns.StateBlock` (what
+        :func:`repro.serve.protocol.rows_to_states` returns) or any
+        sequence of :class:`State` objects.
     loop_start:
         1-based index of the first state of the repeating cycle.  Defaults to
         ``n`` — i.e. the paper's "extend the last state" convention for
@@ -48,51 +51,40 @@ class Trace:
         ``start`` predicate of the Init-clause interpretation holds exactly
         there.
 
-    The native representation is **column-major**: a
-    :class:`~repro.semantics.columns.ColumnStore` with one dictionary-
-    encoded column per state variable (and per operation name), built in a
-    single pass, with the ``__start__`` marking done columnwise.  The
-    row-major ``State`` API — :meth:`states`, :meth:`state_at`, iteration —
-    is a lazy view: source states are handed back untouched where possible
-    and materialized (with ``__start__`` injected) only on first access, so
-    constructing a trace no longer copies every state, and a compiled check
-    that answers through column bitsets never touches most rows at all.
-    Pickling ships the columns, not the per-state dicts — the compact
-    worker handoff ``check_many`` fan-out relies on.
+    The representation is **column-major**
+    (:class:`~repro.semantics.columns.ColumnStore`): a block's columns are
+    adopted as they are, a ``State`` sequence goes through the same
+    column-wise builder, and the ``__start__`` marking is one more column.
+    :meth:`states`, :meth:`state_at` and iteration are a lazy view, each
+    row materialised from the columns on first access and cached.
+    Pickling ships the columns (the ``check_many`` worker handoff).
     """
 
     # ``_bindings`` (set lazily) holds the evaluators and plan states that
     # sessions bind to this trace, so they live exactly as long as it does.
     __slots__ = (
-        "_source", "_store", "_materialized", "_mark_start", "_loop_start", "_length",
-        "_bindings", "__weakref__",
+        "_store", "_materialized", "_loop_start", "_length", "_bindings", "__weakref__",
     )
 
     def __init__(
         self,
-        states: Sequence[State],
+        states: Union[StateBlock, Iterable[State]],
         loop_start: Optional[int] = None,
         mark_start: bool = True,
     ) -> None:
-        state_list = list(states)
-        if not state_list:
+        if not isinstance(states, StateBlock):
+            states = StateBlock.from_states(states)
+        n = len(states)
+        if not n:
             raise TraceError("a trace requires at least one state")
-        for index, state in enumerate(state_list):
-            if not isinstance(state, State):
-                raise TraceError(
-                    f"trace element {index} is not a State: {type(state).__name__}"
-                )
-        n = len(state_list)
         if loop_start is None:
             loop_start = n
         if not 1 <= loop_start <= n:
             raise TraceError(
                 f"loop_start must be between 1 and {n}, got {loop_start}"
             )
-        self._source: Optional[List[State]] = state_list
-        self._store: Optional[ColumnStore] = None
+        self._store = states.store.marked() if mark_start else states.store
         self._materialized: List[Optional[State]] = [None] * n
-        self._mark_start = mark_start
         self._loop_start = loop_start
         self._length = n
 
@@ -100,31 +92,12 @@ class Trace:
 
     @property
     def columns(self) -> ColumnStore:
-        """The trace's :class:`~repro.semantics.columns.ColumnStore` (lazy,
-        built once)."""
-        if self._store is None:
-            self._store = ColumnStore(self._source or [], self._mark_start)
+        """The trace's :class:`~repro.semantics.columns.ColumnStore`."""
         return self._store
 
     def _materialize(self, index: int) -> State:
         """The row view of concrete state ``index`` (0-based), cached."""
-        source = self._source
-        if source is not None:
-            state = source[index]
-            if self._mark_start:
-                if index == 0:
-                    if state.raw_values.get("__start__") is not True:
-                        values = dict(state.raw_values)
-                        values["__start__"] = True
-                        state = State(values, state.raw_operations)
-                elif "__start__" not in state.raw_values:
-                    values = dict(state.raw_values)
-                    values["__start__"] = False
-                    state = State(values, state.raw_operations)
-        else:
-            store = self.columns
-            state = State(store.state_values(index), store.state_operations(index))
-        self._materialized[index] = state
+        state = self._materialized[index] = self._store.state(index)
         return state
 
     # -- pickling --------------------------------------------------------------
@@ -134,17 +107,15 @@ class Trace:
         # per variable instead of n per-state dicts.  The receiving side
         # rebuilds State rows lazily from the columns.
         return {
-            "store": self.columns,
+            "store": self._store,
             "loop_start": self._loop_start,
             "length": self._length,
         }
 
     def __setstate__(self, payload: dict) -> None:
-        self._source = None
         self._store = payload["store"]
         self._length = payload["length"]
         self._materialized = [None] * self._length
-        self._mark_start = False  # marking already lives in the columns
         self._loop_start = payload["loop_start"]
 
     # -- basic structure ------------------------------------------------------
@@ -297,10 +268,9 @@ class Trace:
 
         Used as the default quantification domain for ``Forall`` formulas when
         checking specification conformance of a trace (the values a queue was
-        asked to carry, the sequence numbers a protocol used, ...).  The
-        deduplication runs through the column store's set-backed pass
-        (first-observation order preserved) instead of the quadratic
-        ``value not in seen`` list scan this method started as.
+        asked to carry, the sequence numbers a protocol used, ...), in
+        row-major first-observation order, as the column builder read them
+        off the source rows.
         """
         return self.columns.value_universe()
 

@@ -54,9 +54,12 @@ session continues with the next line.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..semantics.state import OperationRecord, State
+from ..semantics.columns import StateBlock
+from ..semantics.state import State
+from ..syntax.terms import OpPhase
 
 __all__ = [
     "ProtocolError",
@@ -315,8 +318,11 @@ def state_to_row(state: State) -> Dict[str, Any]:
     return row
 
 
-def row_to_state(row: Any, stream: Optional[str] = None) -> State:
-    """One wire row → a :class:`State`; :class:`ProtocolError` on bad shape."""
+def _check_row(
+    row: Any, stream: Optional[str]
+) -> Tuple[Dict[str, Any], Dict[str, Tuple[str, tuple, tuple]]]:
+    """One wire row's variable map and ``(phase, args, results)`` operation
+    records; :class:`ProtocolError` on bad shape."""
     if not isinstance(row, dict):
         raise ProtocolError(
             "bad-state", f"a state row is an object, got {type(row).__name__}",
@@ -328,7 +334,7 @@ def row_to_state(row: Any, stream: Optional[str] = None) -> State:
             "bad-state", "a state row requires an object field 'values'",
             stream=stream,
         )
-    operations = None
+    operations: Dict[str, Tuple[str, tuple, tuple]] = {}
     if "ops" in row:
         raw_ops = row["ops"]
         if not isinstance(raw_ops, dict):
@@ -336,7 +342,6 @@ def row_to_state(row: Any, stream: Optional[str] = None) -> State:
                 "bad-state", "'ops' must map operation names to records",
                 stream=stream,
             )
-        operations = {}
         for name, record in raw_ops.items():
             if (
                 not isinstance(record, (list, tuple))
@@ -350,22 +355,46 @@ def row_to_state(row: Any, stream: Optional[str] = None) -> State:
                     f"operation {name!r} record must be [phase, args, results]",
                     stream=stream,
                 )
-            try:
-                operations[name] = OperationRecord(
-                    record[0], tuple(record[1]), tuple(record[2])
-                )
-            except Exception as exc:
+            if record[0] not in OpPhase.ALL:
                 raise ProtocolError(
-                    "bad-state", f"operation {name!r}: {exc}", stream=stream
-                ) from None
-    try:
-        return State(values, operations)
-    except Exception as exc:
-        raise ProtocolError("bad-state", str(exc), stream=stream) from None
+                    "bad-state",
+                    f"operation {name!r}: unknown operation phase: {record[0]!r}",
+                    stream=stream,
+                )
+            operations[name] = (record[0], tuple(record[1]), tuple(record[2]))
+    return values, operations
 
 
-def rows_to_states(rows: Iterable[Any], stream: Optional[str] = None) -> List[State]:
-    return [row_to_state(row, stream) for row in rows]
+def row_to_state(row: Any, stream: Optional[str] = None) -> State:
+    """One wire row → a :class:`State`; :class:`ProtocolError` on bad shape."""
+    return rows_to_states([row], stream)[0]
+
+
+def rows_to_states(rows: Iterable[Any], stream: Optional[str] = None) -> Sequence[State]:
+    """Wire rows → one :class:`~repro.semantics.columns.StateBlock`.
+
+    Every row passes :func:`row_to_state`'s checks first (the first bad row
+    raises its :class:`ProtocolError` and nothing is built); then each
+    column is built in one interning pass.  The block is a sequence of
+    lazy ``State`` views; :class:`~repro.semantics.trace.Trace` and the
+    incremental monitors take its columns as they are.
+    """
+    rows = list(rows)
+    # The usual frame — plain objects, each with a 'values' object and no
+    # 'ops' — passes the checks in whole-list sweeps.
+    if set(map(type, rows)) == {dict} and not any(
+        map(dict.__contains__, rows, repeat("ops"))
+    ):
+        value_maps = list(map(dict.get, rows, repeat("values")))
+        if set(map(type, value_maps)) == {dict}:
+            return StateBlock(value_maps, [{}] * len(rows))
+    value_maps = []
+    op_maps: List[Mapping[str, Tuple[str, tuple, tuple]]] = []
+    for row in rows:
+        values, operations = _check_row(row, stream)
+        value_maps.append(values)
+        op_maps.append(operations)
+    return StateBlock(value_maps, op_maps)
 
 
 def trace_to_rows(trace) -> List[Dict[str, Any]]:

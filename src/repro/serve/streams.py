@@ -171,8 +171,8 @@ class StreamHandle:
     ) -> List[Tuple[List[Dict[str, Any]], Dict[str, Optional[bool]], int, int]]:
         """Commit ``k`` back-to-back frames as one coalesced runtime batch.
 
-        The concatenated states are absorbed in **one**
-        :meth:`~repro.checking.monitor.Monitor.observe_batch` call with
+        The frames' blocks are absorbed in **one**
+        :meth:`~repro.checking.monitor.Monitor.observe_blocks` call with
         ``commits=k`` — one volatile-memo sweep and one verdict refresh
         whose ``stable_for`` weights stand in for the ``k`` commits.  The
         published snapshot is rebuilt once, at the group boundary, but
@@ -193,12 +193,11 @@ class StreamHandle:
             ]
         start_version = self.version
         start_length = self.monitor.prefix_length
-        merged = [state for batch in batches for state in batch]
+        ingested = sum(len(batch) for batch in batches)
         commits = sum(1 for batch in batches if batch)
-        if merged:
-            self.monitor.observe_batch(merged, commits=commits)
+        self.monitor.observe_blocks(batches, commits=commits)
         self.version += len(batches)
-        self.states_ingested += len(merged)
+        self.states_ingested += ingested
         self.batches += len(batches)
         self._frame_counts.extend(len(batch) for batch in batches)
         alerts, self._pending_alerts = self._pending_alerts, []
@@ -247,7 +246,7 @@ class StreamHandle:
             pairs.append((coalesced_alerts, verdicts))
             return pairs
         monitor = self._rebuild()
-        states = self.monitor.plan_state.trace.states()
+        prefix = self.monitor.plan_state.trace
         counts = self._frame_counts
         boundary = len(counts) - group_size
         captured: List[Dict[str, Any]] = []
@@ -267,7 +266,7 @@ class StreamHandle:
         pairs = []
         offset = 0
         for index, count in enumerate(counts):
-            chunk = list(states[offset:offset + count])
+            chunk = prefix.columns.block(offset, offset + count)
             offset += count
             if index == boundary:
                 monitor.on_change = capture
@@ -282,7 +281,7 @@ class StreamHandle:
         retired, self.monitor = self.monitor, monitor
         self._pending_alerts = []
         if self._release is not None:
-            # The replayed states were copied chunk by chunk above, so the
+            # The replayed rows were copied block by block above, so the
             # retired monitor's trace can be reset and its plan state
             # parked for the next stream of this family.
             self._release(retired)
