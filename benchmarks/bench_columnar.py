@@ -4,19 +4,21 @@ The columnar refactor's whole point is that state formulas over a long
 trace answer as whole-column bitset operations instead of per-position
 dispatch.  This benchmark reports two rows on a >= 100k-state lasso:
 
-* **build columns** — the one column-wise builder turning the states
-  into the trace's columns, plus each column's per-code bitsets and the
-  materialised row views: everything both evaluation modes share;
+* **build columns** — ``Trace(states, ...)``: the one column-wise
+  builder turning the states into the trace's columns, the only work
+  both evaluation modes share;
 * **evaluate on built columns** — the same compiled plans bound fresh to
   the already-built trace twice per formula, once with the
   :class:`~repro.compile.vector.BitsetKernel` (the default binding) and
   once with ``vectorize=False`` (the per-position memo path), in
-  alternating order.
+  alternating order.  Each mode keeps its own one-off work in its
+  window: the kernel's per-code bitsets, the per-position path's row
+  views.
 
 It asserts verdict parity per formula and gates on an aggregate >= 3x
-kernel speedup over the per-position path.  With the shared work out of
-the window, run order no longer decides the ratio (charging the one-off
-build to whichever mode ran first made it read 2.0–2.4x or 320–380x).
+kernel speedup over the per-position path.  With the column build out of
+the window, run order no longer decides the ratio (charging it to
+whichever mode ran first made it read 2.0–2.4x or 320–380x).
 With ``BENCH_RECORD=1`` the point is appended to ``BENCH_columnar.json``.
 """
 
@@ -58,15 +60,6 @@ def build_states():
     ]
 
 
-def build_columns(states):
-    """The shared work: the trace's columns, per-code bitsets, row views."""
-    trace = Trace(states, loop_start=STEM_STATES + 1)
-    for column in trace.columns.columns.values():
-        column.code_bitsets()
-    trace.states()
-    return trace
-
-
 def test_vectorized_speedup_on_100k_states(benchmark):
     """Vectorized >= 3x vs per-position compiled on a >=100k-state trace."""
     states = build_states()
@@ -74,7 +67,7 @@ def test_vectorized_speedup_on_100k_states(benchmark):
 
     def sweep():
         started = time.perf_counter()
-        trace = build_columns(states)
+        trace = Trace(states, loop_start=STEM_STATES + 1)
         build_s = time.perf_counter() - started
         assert trace.length >= 100_000
         timings = {True: 0.0, False: 0.0}

@@ -125,7 +125,7 @@ class _ColumnBase:
         self.codes: "array" = array("l", [ABSENT]) * prefix_length
         self.values: List[Any] = []
         self.missing = prefix_length > 0
-        #: Some value is a bool (or, for operations, some record holds one).
+        #: Some value of a variable column is a bool.
         self.has_bool = False
         self._bitsets: Optional[List[int]] = []
         self._bits_to = 0
@@ -235,8 +235,10 @@ def _extend(
     except TypeError:
         while len(code_of) > before:
             code_of.popitem()
-        column.codes.extend([_intern(value, values, code_of, unhashable) for value in raw])
-        new, firsts = values[start:], None
+        # The scan compares in key form: operation records as their tuples.
+        keys = [(r.phase, r.args, r.results) for r in values] if is_op else values
+        column.codes.extend([_intern(value, keys, code_of, unhashable) for value in raw])
+        new, firsts = keys[start:], None
     else:
         if len(code_of) == before:
             column.codes.fromlist(provisional)
@@ -252,9 +254,8 @@ def _extend(
         column.codes.fromlist(provisional)
     if is_op:
         values[start:] = [OperationRecord(*key) for key in new]
-    column.has_bool = column.has_bool or any(
-        type(v) is bool for key in new for v in (key[1] + key[2] if is_op else (key,))
-    )
+    else:
+        column.has_bool = column.has_bool or any(type(v) is bool for v in new)
     return firsts
 
 
@@ -270,22 +271,19 @@ def _fill(
     ``interns`` (variable columns by name under ``False``, operation
     columns under ``True``, the value universe under ``None``).
 
-    The universe gains each new non-boolean value in row-major
-    first-observation order (a row's variables in key order, then each
-    operation's args and results) unless ``universe`` gives the entries.
-    A value first observed at row ``p`` is a new code there, so only such
-    rows are read — or every row, where a ``1`` may hide under a ``True``
-    code or values are unhashable.
+    The universe gains each new value in row-major first-observation
+    order — a row's non-boolean variable values in key order, then every
+    operation argument and result, booleans included — unless ``universe``
+    gives the entries.  A value first observed at row ``p`` is a new code
+    there, so only such rows are read — or every row, where a ``1`` may
+    hide under a variable's ``True`` code or values are unhashable.
     """
     offset, n = store.length, len(value_maps)
     names = list(value_maps[0]) if n else []
     raws = None
     if sum(map(len, value_maps)) == n * len(names):
         try:  # every row binds exactly the first row's variables
-            if 1 < len(names) and n <= 1024:  # one transposing pass
-                raws = list(zip(*map(itemgetter(*names), value_maps)))
-            else:
-                raws = [list(map(itemgetter(name), value_maps)) for name in names]
+            raws = [list(map(itemgetter(name), value_maps)) for name in names]
         except KeyError:
             pass
     ragged = raws is None
@@ -311,7 +309,7 @@ def _fill(
             firsts = _extend(column, kind_interns[name], raw, is_op)
             if is_op or ragged:
                 column.missing = column.missing or ABSENT in column.codes[offset:]
-            if firsts is None or is_op and column.has_bool:
+            if firsts is None:
                 first_rows.update(range(n))
                 continue
             if column.has_bool:
@@ -337,12 +335,12 @@ def _fill(
         if _intern(value, universe_values, code_of, unhashable) == len(universe_at):
             universe_at.append(offset + at)
     for at in () if universe else sorted(first_rows):
-        row = list(value_maps[at].values())
+        row = [value for value in value_maps[at].values() if type(value) is not bool]
         for _, args, results in op_maps[at].values():
             row += args + results
         for value in row:
             try:
-                if type(value) is bool or value in code_of:
+                if value in code_of:
                     continue
             except TypeError:  # unhashable: ``_intern`` compares by ``==``
                 pass

@@ -72,13 +72,13 @@ class OperationRecord(Mapping[str, Any]):
         return 3
 
     def __eq__(self, other: object) -> bool:
-        # A record equals its ``(phase, args, results)`` key tuple too (same
-        # hash): column dictionaries intern either form.
-        if isinstance(other, OperationRecord):
-            other = (other._phase, other._args, other._results)
-        elif not isinstance(other, tuple):
+        if not isinstance(other, OperationRecord):
             return NotImplemented
-        return (self._phase, self._args, self._results) == other
+        return (
+            self._phase == other._phase
+            and self._args == other._args
+            and self._results == other._results
+        )
 
     def __hash__(self) -> int:
         return hash((self._phase, self._args, self._results))

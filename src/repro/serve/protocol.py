@@ -54,7 +54,6 @@ session continues with the next line.
 from __future__ import annotations
 
 import json
-from itertools import repeat
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..semantics.columns import StateBlock
@@ -379,15 +378,6 @@ def rows_to_states(rows: Iterable[Any], stream: Optional[str] = None) -> Sequenc
     lazy ``State`` views; :class:`~repro.semantics.trace.Trace` and the
     incremental monitors take its columns as they are.
     """
-    rows = list(rows)
-    # The usual frame — plain objects, each with a 'values' object and no
-    # 'ops' — passes the checks in whole-list sweeps.
-    if set(map(type, rows)) == {dict} and not any(
-        map(dict.__contains__, rows, repeat("ops"))
-    ):
-        value_maps = list(map(dict.get, rows, repeat("values")))
-        if set(map(type, value_maps)) == {dict}:
-            return StateBlock(value_maps, [{}] * len(rows))
     value_maps = []
     op_maps: List[Mapping[str, Tuple[str, tuple, tuple]]] = []
     for row in rows:

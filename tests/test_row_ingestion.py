@@ -64,8 +64,6 @@ def reference_columns(states, mark_start=True):
         for record in state.raw_operations.values():
             observed += list(record.args) + list(record.results)
         for value in observed:
-            if isinstance(value, bool):
-                continue
             try:
                 if value in seen:
                     continue
@@ -153,6 +151,14 @@ HAND_CASES = {
         {"values": {"n": 0}, "ops": {"Enq": ["at", [True], []]}},
         {"values": {"n": 0}, "ops": {"Enq": ["at", [1], []], "Dq": ["at", [[2]], []]}},
         {"values": {"n": 0}, "ops": {"Dq": ["at", [[2]], []]}},
+    ],
+    # Operation arguments and results keep their booleans in the universe:
+    # the first truthy value here is a True argument, ahead of any 1.
+    "true-argument-first": [
+        {"values": {"p": True}, "ops": {"Go": ["at", [True], []]}},
+        {"values": {"p": False}, "ops": {"Go": ["after", [True], [False]]}},
+        {"values": {"p": 1, "x": 1}, "ops": {"Go": ["at", [1], []]}},
+        {"values": {"x": 0.0}, "ops": {"Go": ["at", [True], []]}},
     ],
 }
 
@@ -275,6 +281,32 @@ def test_block_slices_rebuild_a_prefix_exactly():
     assert shape(replayed.columns) == shape(prefix.columns)
     assert typed(replayed.value_universe()) == typed(prefix.value_universe())
     assert replayed.states() == prefix.states()
+
+
+def test_a_true_argument_enters_the_universe_before_any_1():
+    # The universe drops boolean variable values only: a True argument is
+    # observed first, so the later 1s and 0.0 are already in it.
+    rows = HAND_CASES["true-argument-first"]
+    prefix = GrowingPrefix()
+    prefix.extend(rows_to_states(rows))
+    for source in (Trace(rows_to_states(rows)), Trace(states_of(rows)), prefix):
+        assert typed(source.value_universe()) == typed([True, False])
+    only_ops = [{"values": {}, "ops": {"Go": ["at", [True], []]}}, {"values": {"n": 1}}]
+    assert typed(Trace(rows_to_states(only_ops)).value_universe()) == typed([True])
+
+
+def test_unhashable_arguments_intern_as_records():
+    rows = [
+        {"values": {}, "ops": {"Enq": ["at", [1], []]}},
+        {"values": {}, "ops": {"Enq": ["at", [[2]], []]}},
+        {"values": {}, "ops": {"Enq": ["at", [1], []]}},
+        {"values": {}, "ops": {"Enq": ["at", [[2]], []]}},
+    ]
+    column = Trace(rows_to_states(rows)).columns.op_column("Enq")
+    assert column.values == [OperationRecord("at", (1,), ()), OperationRecord("at", ([2],), ())]
+    assert all(isinstance(record, OperationRecord) for record in column.values)
+    assert list(column.codes) == [0, 1, 0, 1]
+    assert OperationRecord("at", (), ()) != ("at", (), ())
 
 
 def test_operation_records_are_interned_once_per_distinct_record():
